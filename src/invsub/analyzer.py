@@ -15,6 +15,7 @@ from math import prod
 
 from .exactalg import (
     RationalMatrix,
+    RationalPolynomial,
     char_poly,
     count_real_roots,
     min_poly,
@@ -116,23 +117,30 @@ class SubspaceCount:
         return cls(count=count, signature=signature, profile=profile)
 
 
-def jordan_signature(a: RationalMatrix) -> JordanSignature:
-    """Extract root-multiplicity multisets from the characteristic
-    polynomial of ``a``.
+def _signature(p: RationalPolynomial) -> JordanSignature:
+    """Root-multiplicity multisets of p.
 
     Each squarefree factor g of multiplicity m contributes one entry m
     per distinct real root of g and one entry m per conjugate pair
-    (there are (deg g - real roots) / 2 of those).  The result describes
-    the Jordan block structure only when ``a`` has full-degree minimal
-    polynomial; it is well defined regardless.
+    (there are (deg g - real roots) / 2 of those).
     """
     real: list[int] = []
     complex_pairs: list[int] = []
-    for g, multiplicity in squarefree_decompose(char_poly(a)).factors:
+    for g, multiplicity in squarefree_decompose(p).factors:
         real_roots = count_real_roots(g)
         real.extend([multiplicity] * real_roots)
         complex_pairs.extend([multiplicity] * ((g.degree - real_roots) // 2))
     return JordanSignature(tuple(real), tuple(complex_pairs))
+
+
+def jordan_signature(a: RationalMatrix) -> JordanSignature:
+    """Extract root-multiplicity multisets from the characteristic
+    polynomial of ``a``.
+
+    The result describes the Jordan block structure only when ``a`` has
+    full-degree minimal polynomial; it is well defined regardless.
+    """
+    return _signature(char_poly(a))
 
 
 def is_count_finite(a: RationalMatrix) -> bool:
@@ -152,11 +160,14 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
 
     Returns the infinite marker for derogatory matrices; otherwise the
     count is the product of (multiplicity + 1) over the signature, with
-    the per-dimension profile attached.
+    the per-dimension profile attached.  The minimal polynomial is
+    computed once: when it has degree n it is also the characteristic
+    polynomial.
     """
-    if not is_count_finite(a):
+    minimal = min_poly(a)
+    if minimal.degree != a.n:
         return SubspaceCount.infinite()
-    signature = jordan_signature(a)
+    signature = _signature(minimal)
     count = prod(m + 1 for m in signature.real_multiplicities) * prod(
         m + 1 for m in signature.complex_pair_multiplicities
     )

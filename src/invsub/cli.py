@@ -29,7 +29,7 @@ DEFAULT_MAX_N = 64
 SELFCHECK_LIMIT = 16
 ROUNDTRIP_LIMIT = 8
 
-_TOKEN = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 class MatrixInputError(ValueError):

@@ -1,20 +1,42 @@
 """Exact rational polynomial and matrix algebra.
 
-Everything here runs on ``fractions.Fraction``: deciding whether a
+The public types hold ``fractions.Fraction`` values: deciding whether a
 matrix keeps finitely many invariant subspaces hinges on exact
 eigenvalue collisions, which floating point cannot witness.  Floats are
 rejected at the boundary rather than converted.
 
-The four public operations are the characteristic polynomial
-(Faddeev-LeVerrier), the minimal polynomial (first linear dependence
-among flattened matrix powers), squarefree decomposition (Yun) and
-distinct-real-root counting (Sturm chains evaluated at +-infinity).
+The four public operations run on plain Python ints after one change of
+scale at the boundary.  A matrix A is multiplied by the lcm d of its
+denominators, and a polynomial of dA rescales to the one of A
+coefficient by coefficient: c_k(A) = c_k(dA) / d^(deg - k).  A
+polynomial is cleared to a primitive integer polynomial the same way.
+
+* ``min_poly``: the lcm of the minimal polynomials of the start vectors
+  (1, 2, ..., n), e_1, ..., e_n, each the dependence found by one
+  fraction-free (Bareiss) Krylov elimination of v, Av, A^2 v, ...  A
+  vector inside the span of the earlier Krylov spaces is skipped (that
+  span is A-invariant, so its minimal polynomial already divides the
+  lcm), and the search stops as soon as the degree reaches n.
+* ``char_poly``: the product of the quotient polynomials of successive
+  Krylov chains, each chain reduced against the earlier ones
+  (Keller-Gehrig).
+* ``squarefree_decompose``: Yun's algorithm, with gcds taken by the
+  primitive pseudo-remainder sequence and exact integer division.
+* ``count_real_roots``: a Sturm chain of primitive pseudo-remainders,
+  each scaled by a positive factor so that signs are kept, read at
+  +-infinity.
+
+``tests/_oracles.py`` holds independent routes that the tests compare
+against: cofactor expansion and the Faddeev-LeVerrier recurrence for
+the characteristic polynomial, and the first dependence among flattened
+matrix powers for the minimal polynomial.
 """
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm
+from operator import mul
 
 
 def _to_fraction(value) -> Fraction:
@@ -23,10 +45,6 @@ def _to_fraction(value) -> Fraction:
             f"refusing float {value!r}: exact rational input required"
         )
     return Fraction(value)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 class RationalPolynomial:
@@ -166,10 +184,8 @@ class RationalPolynomial:
 
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Monic greatest common divisor (zero if both inputs are zero)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a if a.is_zero() else a.monic()
+        g = _gcd(_integer_poly(self), _integer_poly(other))
+        return _monic(g) if g else RationalPolynomial.zero()
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self})"
@@ -327,60 +343,228 @@ def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatr
     return acc
 
 
+# ---- integer polynomials ---------------------------------------------------
+#
+# Lists of ints indexed by degree, without trailing zeros; the zero
+# polynomial is the empty list.
+
+
+def _strip(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, a positive number: signs are kept."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _integer_poly(p: RationalPolynomial) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    d = lcm(*(c.denominator for c in p.coefficients))
+    return _primitive([c.numerator * (d // c.denominator) for c in p.coefficients])
+
+
+def _monic(p: list[int]) -> RationalPolynomial:
+    return RationalPolynomial(Fraction(c, p[-1]) for c in p)
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p) if i]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _strip([x - y for x, y in zip(a, b)] + a[len(b):])
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b (b nonzero).
+
+    Each step multiplies the running remainder by |lc(b)| before
+    subtracting a multiple of b, so no step divides and none flips a
+    sign.
+    """
+    r = list(a)
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        factor = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        r.pop()  # the leading term cancels exactly
+        _strip(r)
+    return r
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials when b divides a over the integers."""
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = r[shift + len(b) - 1]
+        if c:
+            q, rest = divmod(c, b[-1])
+            if rest:
+                raise ArithmeticError("inexact integer polynomial division")
+            quotient[shift] = q
+            for i, x in enumerate(b):
+                r[shift + i] -= q * x
+    return _strip(quotient)
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the
+    primitive pseudo-remainder sequence; zero if both inputs are zero."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+# ---- Krylov elimination ----------------------------------------------------
+
+
+def _integer_matrix(a: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(d, dA) with d the lcm of the entry denominators of A."""
+    d = lcm(*(x.denominator for row in a.entries for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a.entries]
+
+
+def _rescaled(q: list[int], d: int) -> RationalPolynomial:
+    """The monic polynomial of A from an integer polynomial q of dA."""
+    degree = len(q) - 1
+    return RationalPolynomial(
+        Fraction(c, q[-1] * d ** (degree - k)) for k, c in enumerate(q)
+    )
+
+
+def _reduce(
+    w: list[int], rows: list[tuple[int, list[int]]], n: int
+) -> tuple[int | None, list[int]]:
+    """One fraction-free (Bareiss) elimination step for a new input row.
+
+    ``rows`` are the ``(pivot, row)`` results of this function on the
+    earlier input rows, in order.  Each step multiplies by the current
+    pivot and divides exactly by the previous one, so every entry stays
+    a minor of the input rows.  A row shorter than w stands for one
+    padded with zeros.  Returns the reduced row and the index of its
+    first nonzero entry among the first n (None when those are all zero,
+    that is when w lies in the span of the earlier inputs there).
+    """
+    previous = 1
+    for pivot, row in rows:
+        p, f = row[pivot], w[pivot]
+        if f:
+            w = [(p * x - f * y) // previous for x, y in zip(w, row)] + [
+                p * x // previous for x in w[len(row):]
+            ]
+        elif p != previous:
+            w = [p * x // previous for x in w]
+        previous = p
+    return next((i for i in range(n) if w[i]), None), w
+
+
+def _krylov(
+    b: list[list[int]], v: list[int], basis: list[tuple[int, list[int]]]
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Krylov elimination of v, Bv, B^2 v, ... modulo the span of ``basis``.
+
+    The vectors continue the elimination that produced ``basis``.  The
+    k-th one is entered with the unit vector x^k appended, so after its
+    n entries a reduced row carries the coefficients of the polynomial q
+    with row = q(B) v modulo span(basis); the first row that reduces to
+    zero yields the dependence.  Returns the least-degree primitive
+    integer q with q(B) v in span(basis), and the chain's rows cut to
+    length n, ready to extend ``basis``.
+    """
+    n = len(v)
+    chain: list[tuple[int, list[int]]] = []
+    x = v
+    while True:
+        k = len(chain)
+        pivot, w = _reduce(x + [0] * k + [1] + [0] * (n - k), basis + chain, n)
+        if pivot is None:
+            return _primitive(_strip(w[n:])), [(p, row[:n]) for p, row in chain]
+        chain.append((pivot, w))
+        x = [sum(map(mul, row, x)) for row in b]
+
+
+def _start_vectors(n: int) -> list[list[int]]:
+    """(1, 2, ..., n), then e_1, ..., e_n.
+
+    The unit vectors span the space, so the Krylov spaces of the list do
+    too.  The dense first vector generates the whole space for most
+    nonderogatory matrices, among them real Jordan forms, whose unit
+    vectors lie in small invariant subspaces; then one Krylov chain
+    decides the matrix.
+    """
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [list(range(1, n + 1))] + units
+
+
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - A), monic of degree n.
 
-    Uses the Faddeev-LeVerrier recurrence
-
-        M_1 = I,   c_{n-k} = -tr(A M_k) / k,   M_{k+1} = A M_k + c_{n-k} I
-
-    entirely in rational arithmetic.
+    Krylov chains from the start vectors, each reduced against the
+    earlier ones, put A in block triangular form with companion blocks;
+    the characteristic polynomial is the product of the chains' quotient
+    polynomials (Keller-Gehrig).
     """
     n = a.n
-    coefficients = [Fraction(0)] * n + [Fraction(1)]
-    m = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a * m
-        c = -am.trace() / k
-        coefficients[n - k] = c
-        m = am + RationalMatrix.identity(n).scaled(c)
-    return RationalPolynomial(coefficients)
+    d, b = _integer_matrix(a)
+    poly = [1]
+    basis: list[tuple[int, list[int]]] = []
+    for v in _start_vectors(n):
+        if len(basis) == n:
+            break
+        q, rows = _krylov(b, v, basis)
+        poly = _mul(poly, q)
+        basis.extend(rows)
+    return _rescaled(poly, d)
 
 
 def min_poly(a: RationalMatrix) -> RationalPolynomial:
     """Minimal polynomial: the monic annihilator of least degree.
 
-    Flattens I, A, A^2, ... into vectors of length n^2 and maintains a
-    reduced echelon basis with combination tracking; the first power
-    that is linearly dependent on its predecessors yields the minimal
-    polynomial directly.  Cayley-Hamilton bounds the search at degree n.
+    The lcm of the minimal polynomials of the start vectors.  A vector
+    in the span of the earlier Krylov spaces is skipped: that span is
+    A-invariant, so the vector's minimal polynomial already divides the
+    lcm.  The search ends once the degree reaches n, which certifies
+    that A is nonderogatory, or once the Krylov spaces fill the whole
+    space.
     """
     n = a.n
-    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = RationalMatrix.identity(n)
-    degree = 0
-    while True:
-        vec = [entry for row in power.entries for entry in row]
-        combo = [Fraction(0)] * degree + [Fraction(1)]
-        for pivot, rvec, rcombo in rows:
-            c = vec[pivot]
-            if c != 0:
-                for i, x in enumerate(rvec):
-                    if x != 0:
-                        vec[i] -= c * x
-                for i, x in enumerate(rcombo):
-                    combo[i] -= c * x
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return RationalPolynomial(combo)
-        if degree == n:
-            raise AssertionError("no dependence by degree n; broken arithmetic")
-        scale = vec[pivot]
-        rows.append(
-            (pivot, [x / scale for x in vec], [x / scale for x in combo])
-        )
-        power = power * a
-        degree += 1
+    d, b = _integer_matrix(a)
+    mu = [1]
+    span: list[tuple[int, list[int]]] = []
+    for v in _start_vectors(n):
+        q, rows = _krylov(b, v, span)
+        if not rows:
+            continue
+        if span:
+            # q is only the part of v's minimal polynomial outside span
+            q = _krylov(b, v, [])[0]
+        span.extend(rows)
+        mu = _mul(mu, _divexact(q, _gcd(mu, q)))
+        if len(mu) > n or len(span) == n:
+            break
+    return _rescaled(mu, d)
 
 
 @dataclass(frozen=True)
@@ -409,55 +593,55 @@ class SquarefreeDecomposition:
 def squarefree_decompose(p: RationalPolynomial) -> SquarefreeDecomposition:
     """Squarefree decomposition by Yun's algorithm.
 
-    Multiplicities come out strictly increasing.  Rejects constant and
-    zero polynomials.
+    Runs on the primitive integer multiple of p; every gcd is primitive
+    and every division exact.  Multiplicities come out strictly
+    increasing.  Rejects constant and zero polynomials.
     """
     if p.degree < 1:
         raise ValueError("squarefree decomposition needs degree >= 1")
-    constant = p.leading_coefficient()
-    f = p.monic()
-    g0 = f.gcd(f.derivative())
-    b = f // g0
-    c = f.derivative() // g0
-    d = c - b.derivative()
+    f = _integer_poly(p)
+    df = _derivative(f)
+    g = _gcd(f, df)
+    b = _divexact(f, g)
+    d = _sub(_divexact(df, g), _derivative(b))
     factors = []
     multiplicity = 1
-    while b.degree > 0:
-        a = b.gcd(d)
-        if a.degree > 0:
-            factors.append((a, multiplicity))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((_monic(a), multiplicity))
+        b = _divexact(b, a)
+        d = _sub(_divexact(d, a), _derivative(b))
         multiplicity += 1
-    return SquarefreeDecomposition(constant, tuple(factors))
+    return SquarefreeDecomposition(p.leading_coefficient(), tuple(factors))
 
 
 def count_real_roots(p: RationalPolynomial) -> int:
     """Number of distinct real roots of a squarefree polynomial.
 
-    Builds the Sturm chain p, p', -rem(...), ... and returns the drop in
-    sign variations from -infinity to +infinity, where the sign of a
-    polynomial at +-infinity is read off its leading coefficient and
-    degree parity (no root bounds needed).  Non-squarefree input is
-    rejected: the plain Sturm chain requires gcd(p, p') constant.
+    Builds the Sturm chain p, p', -rem(...), ... from primitive integer
+    pseudo-remainders, each a positive multiple of the true remainder,
+    and returns the drop in sign variations from -infinity to +infinity,
+    where the sign of a polynomial at +-infinity is read off its leading
+    coefficient and degree parity (no root bounds needed).  The last
+    chain element is gcd(p, p'), so a nonconstant one rejects input that
+    is not squarefree.
     """
     if p.degree < 1:
         raise ValueError("real-root counting needs a nonconstant polynomial")
-    if p.gcd(p.derivative()).degree != 0:
-        raise ValueError("polynomial is not squarefree; decompose it first")
-    chain = [p, p.derivative()]
+    f = _integer_poly(p)
+    chain = [f, _derivative(f)]
     while True:
-        remainder = chain[-2] % chain[-1]
-        if remainder.is_zero():
+        remainder = _primitive(_prem(chain[-2], chain[-1]))
+        if not remainder:
             break
-        chain.append(-remainder)
+        chain.append([-c for c in remainder])
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial is not squarefree; decompose it first")
 
     def variations(signs: list[int]) -> int:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    at_pos = [_sign(q.leading_coefficient()) for q in chain]
-    at_neg = [
-        s * (-1 if q.degree % 2 == 1 else 1) for s, q in zip(at_pos, chain)
-    ]
+    at_pos = [1 if q[-1] > 0 else -1 for q in chain]
+    at_neg = [s if len(q) % 2 else -s for s, q in zip(at_pos, chain)]
     return variations(at_neg) - variations(at_pos)

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes a quantity by a different route than the library
-(cofactor expansion instead of Faddeev-LeVerrier, direct enumeration
-instead of polynomial convolution, a DP table instead of the pentagonal
-recurrence) so that agreement is evidence, not tautology.
+(cofactor expansion and the Faddeev-LeVerrier recurrence instead of
+integer Krylov elimination, flattened matrix powers instead of vector
+Krylov chains, direct enumeration instead of polynomial convolution, a
+DP table instead of the pentagonal recurrence) so that agreement is
+evidence, not tautology.
 """
 
 from collections import Counter
@@ -28,6 +30,59 @@ def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
     for i in range(n):
         cells[i][i] = cells[i][i] + x
     return _poly_det(cells)
+
+
+def char_poly_faddeev_leverrier(a: RationalMatrix) -> RationalPolynomial:
+    """det(x*I - A) by the Faddeev-LeVerrier recurrence
+
+        M_1 = I,   c_{n-k} = -tr(A M_k) / k,   M_{k+1} = A M_k + c_{n-k} I
+
+    in Fraction arithmetic.
+    """
+    n = a.n
+    coefficients = [Fraction(0)] * n + [Fraction(1)]
+    m = RationalMatrix.identity(n)
+    for k in range(1, n + 1):
+        am = a * m
+        c = -am.trace() / k
+        coefficients[n - k] = c
+        m = am + RationalMatrix.identity(n).scaled(c)
+    return RationalPolynomial(coefficients)
+
+
+def min_poly_flattened_powers(a: RationalMatrix) -> RationalPolynomial:
+    """Minimal polynomial as the first linear dependence among I, A,
+    A^2, ..., flattened to vectors of length n^2.
+
+    Keeps a reduced echelon basis with combination tracking in Fraction
+    arithmetic; Cayley-Hamilton bounds the search at degree n.
+    """
+    n = a.n
+    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    power = RationalMatrix.identity(n)
+    degree = 0
+    while True:
+        vec = [entry for row in power.entries for entry in row]
+        combo = [Fraction(0)] * degree + [Fraction(1)]
+        for pivot, rvec, rcombo in rows:
+            c = vec[pivot]
+            if c != 0:
+                for i, x in enumerate(rvec):
+                    if x != 0:
+                        vec[i] -= c * x
+                for i, x in enumerate(rcombo):
+                    combo[i] -= c * x
+        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
+            return RationalPolynomial(combo)
+        if degree == n:
+            raise AssertionError("no dependence by degree n; broken arithmetic")
+        scale = vec[pivot]
+        rows.append(
+            (pivot, [x / scale for x in vec], [x / scale for x in combo])
+        )
+        power = power * a
+        degree += 1
 
 
 def _poly_det(cells: list[list[RationalPolynomial]]) -> RationalPolynomial:
@@ -106,7 +161,7 @@ def random_invertible_matrix(rng, n: int, bound: int = 5) -> RationalMatrix:
 
 def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
     """Companion matrix of a monic polynomial of degree >= 1."""
-    if not p.is_monic or p.degree < 1:
+    if not p.is_monic() or p.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     n = p.degree
     rows = [[Fraction(0)] * n for _ in range(n)]

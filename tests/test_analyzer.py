@@ -257,3 +257,59 @@ class TestCountInvariantSubspaces:
             assert base.count == moved.count
             assert base.signature == moved.signature
             assert base.profile == moved.profile
+
+
+@st.composite
+def analyzable_matrices(draw) -> RationalMatrix:
+    """Realized block configurations conjugated to dense form, matrices
+    where one root owns two blocks, and random rational matrices."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["config", "derogatory", "random"]))
+    if kind == "random":
+        return random_rational_matrix(rng, n)
+    if kind == "config":
+        a = realize_config(draw(st.sampled_from(list(enumerate_configs(n)))))
+    else:
+        root = Fraction(rng.randint(-3, 3))
+        a = RationalMatrix.block_diagonal(
+            [standard_jordan_block(root, k) for k in (1, rng.randint(1, 3))]
+        )
+    p = random_invertible_matrix(rng, a.n, bound=2)
+    return p.inverse() * a * p
+
+
+shifts = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+nonzero_rationals = shifts.filter(lambda q: q != 0)
+
+
+def analysis(a: RationalMatrix):
+    outcome = count_invariant_subspaces(a)
+    return outcome.is_finite, outcome.count, outcome.signature, outcome.profile
+
+
+class TestMetamorphic:
+    """Invariant subspaces of A are those of dA + cI (d != 0), and
+    transposition and permutation similarity keep the count, the
+    signature and the profile."""
+
+    @given(analyzable_matrices(), nonzero_rationals, shifts)
+    @settings(max_examples=60)
+    def test_scale_and_shift(self, a, d, c):
+        moved = a.scaled(d) + RationalMatrix.identity(a.n).scaled(c)
+        assert analysis(moved) == analysis(a)
+
+    @given(analyzable_matrices())
+    @settings(max_examples=60)
+    def test_transpose(self, a):
+        assert analysis(RationalMatrix(zip(*a.entries))) == analysis(a)
+
+    @given(analyzable_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_permutation_similarity(self, a, rng):
+        order = list(range(a.n))
+        rng.shuffle(order)
+        permuted = RationalMatrix(
+            [[a.entries[i][j] for j in order] for i in order]
+        )
+        assert analysis(permuted) == analysis(a)

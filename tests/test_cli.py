@@ -195,6 +195,28 @@ class TestAnalyzeCommand:
         assert status == 1
         assert "row 1, column 1" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1 0\n0 \u0663\n", "row 2, column 2"),  # Arabic-Indic three
+            ("\uff11 0\n0 1\n", "row 1, column 1"),  # fullwidth one
+            ("1 0\n0 1/\u0662\n", "row 2, column 2"),  # Arabic-Indic denominator
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, capsys, tmp_path, text, where):
+        target = tmp_path / "matrix.txt"
+        target.write_text(text, encoding="utf-8")
+        status, _, err = run(capsys, "analyze", str(target))
+        assert status == 1
+        assert where in err
+
+    def test_non_ascii_digits_rejected_in_json(self, capsys, tmp_path):
+        target = tmp_path / "matrix.json"
+        target.write_text('[[1, "\uff12"], [0, 1]]', encoding="utf-8")
+        status, _, err = run(capsys, "analyze", str(target))
+        assert status == 1
+        assert "row 1, column 2" in err
+
     def test_zero_denominator_rejected(self, capsys, tmp_path):
         path = self.write(tmp_path, "1/0 0\n0 1\n")
         status, _, err = run(capsys, "analyze", path)

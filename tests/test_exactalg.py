@@ -16,7 +16,9 @@ from invsub.exactalg import (
 
 from _oracles import (
     char_poly_cofactor,
+    char_poly_faddeev_leverrier,
     companion_matrix,
+    min_poly_flattened_powers,
     random_invertible_matrix,
     random_rational_matrix,
 )
@@ -101,7 +103,7 @@ class TestRationalPolynomial:
     @given(nonzero_polynomials, nonzero_polynomials)
     def test_gcd_divides_both_and_is_monic(self, a, b):
         g = a.gcd(b)
-        assert g.is_monic
+        assert g.is_monic()
         assert (a % g).is_zero()
         assert (b % g).is_zero()
 
@@ -162,6 +164,10 @@ class TestCharPoly:
     def test_one_by_one(self):
         assert char_poly(RationalMatrix([[2]])) == poly(-2, 1)
 
+    def test_companion_matrix_refuses_non_monic(self):
+        with pytest.raises(ValueError, match="monic"):
+            companion_matrix(poly(1, 2))
+
     def test_companion_of_cubic(self):
         p = poly(5, -2, 0, 1)
         assert char_poly(companion_matrix(p)) == p
@@ -173,7 +179,7 @@ class TestCharPoly:
     @given(square_matrices())
     def test_monic_of_degree_n(self, a):
         c = char_poly(a)
-        assert c.is_monic
+        assert c.is_monic()
         assert c.degree == a.n
 
     @given(square_matrices(max_n=4))
@@ -210,7 +216,7 @@ class TestMinPoly:
     @given(square_matrices())
     def test_divides_char_poly_and_annihilates(self, a):
         m = min_poly(a)
-        assert m.is_monic
+        assert m.is_monic()
         assert (char_poly(a) % m).is_zero()
         assert evaluate_at_matrix(m, a).is_zero()
 
@@ -227,6 +233,82 @@ class TestMinPoly:
         )
         lcm = ((p * q) // p.gcd(q)).monic()
         assert min_poly(a) == lcm
+
+
+class TestAgainstFractionOracles:
+    """char_poly and min_poly against Faddeev-LeVerrier and flattened
+    matrix powers, both in Fraction arithmetic, for n <= 10."""
+
+    @staticmethod
+    def assert_agrees(a):
+        assert char_poly(a) == char_poly_faddeev_leverrier(a)
+        assert min_poly(a) == min_poly_flattened_powers(a)
+
+    def test_dense_rational_matrices(self):
+        rng = random.Random(31)
+        for n in range(1, 11):
+            for _ in range(3):
+                a = random_rational_matrix(rng, n)
+                if n > 1:
+                    assert any(x.denominator > 1 for row in a.entries for x in row)
+                self.assert_agrees(a)
+
+    def test_large_denominators(self):
+        rng = random.Random(37)
+        for n in (2, 5, 8):
+            a = RationalMatrix(
+                [
+                    [Fraction(rng.randint(-50, 50), rng.randint(1, 97)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            self.assert_agrees(a)
+
+    def test_derogatory_direct_sums_of_companions(self):
+        rng = random.Random(41)
+        cases = [
+            (poly(-2, 1), poly(-2, 1)),
+            (poly(1, 0, 1), poly(1, 0, 1), poly(3, 1)),
+            (poly(-1, 1) ** 2, poly(-1, 1)),
+            (poly(2, -3, 1), poly(2, -3, 1) * poly(Fraction(1, 2), 1)),
+            (poly(1, 0, 1) ** 2, poly(1, 0, 1), poly(Fraction(-5, 3), 1) ** 3),
+        ]
+        for factors in cases:
+            a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
+            p = random_invertible_matrix(rng, a.n)
+            for matrix in (a, p.inverse() * a * p):
+                self.assert_agrees(matrix)
+                assert min_poly(matrix).degree < matrix.n
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_first_start_vector_is_an_eigenvector(self, n):
+        # S e_1 = (1, 2, ..., n), so the dense start vector spans an
+        # eigenline and only the later unit vectors reveal the rest
+        s = RationalMatrix(
+            [[i + 1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+        )
+
+        def jordan(value, size):
+            return RationalMatrix(
+                [[value if j == i else int(j == i + 1) for j in range(size)] for i in range(size)]
+            )
+
+        for m in (jordan(2, n), RationalMatrix.block_diagonal([jordan(5, 1), jordan(5, n - 1)])):
+            self.assert_agrees(s * m * s.inverse())
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(3), Fraction(-7, 4)])
+    def test_scalar_matrices(self, n, c):
+        a = RationalMatrix.identity(n).scaled(c)
+        self.assert_agrees(a)
+        assert char_poly(a) == poly(-c, 1) ** n
+        assert min_poly(a) == poly(-c, 1)
+
+    @pytest.mark.parametrize("entry", [0, 5, -3, Fraction(2, 9), Fraction(-11, 6)])
+    def test_one_by_one(self, entry):
+        a = RationalMatrix([[entry]])
+        self.assert_agrees(a)
+        assert min_poly(a) == char_poly(a) == poly(-entry, 1)
 
 
 class TestSquarefreeDecompose:
