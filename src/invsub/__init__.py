@@ -1,7 +1,7 @@
 """invsub: exact enumeration and counting of invariant subspaces of R^n.
 
-Two entry points: :func:`attainable_counts` enumerates every possible
-invariant-subspace count in a given dimension, and
+Two entry points: :func:`attainable_counts` computes the set of every
+possible invariant-subspace count in a given dimension, and
 :func:`count_invariant_subspaces` analyzes a concrete rational matrix in
 exact arithmetic.  See the ``invsub`` command-line tool for the same
 functionality from a shell.

@@ -11,7 +11,6 @@ Sturm root counting extract exactly.
 """
 
 from dataclasses import dataclass
-from math import prod
 
 from .exactalg import (
     RationalMatrix,
@@ -21,7 +20,7 @@ from .exactalg import (
     min_poly,
     squarefree_decompose,
 )
-from .spectrum import BlockConfig, dimension_profile
+from .spectrum import BlockConfig, count_for_config, dimension_profile
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,7 @@ class SubspaceCount:
             return
         if self.signature is None or self.profile is None:
             raise ValueError("finite counts carry a signature and a profile")
-        expected = prod(
-            m + 1 for m in self.signature.real_multiplicities
-        ) * prod(m + 1 for m in self.signature.complex_pair_multiplicities)
+        expected = count_for_config(self.signature.block_config())
         if self.count != expected:
             raise ValueError(
                 f"count {self.count} does not match signature product {expected}"
@@ -168,10 +165,9 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
     if minimal.degree != a.n:
         return SubspaceCount.infinite()
     signature = _signature(minimal)
-    count = prod(m + 1 for m in signature.real_multiplicities) * prod(
-        m + 1 for m in signature.complex_pair_multiplicities
-    )
-    profile = dimension_profile(signature.block_config())
+    config = signature.block_config()
+    count = count_for_config(config)
+    profile = dimension_profile(config)
     return SubspaceCount.finite(count, signature, profile)
 
 

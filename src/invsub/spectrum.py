@@ -5,10 +5,16 @@ distinct root keeps only finitely many invariant subspaces: each block
 of size k (or 2k for a conjugate-pair block) contributes a chain of
 k + 1 nested subspaces, and every invariant subspace is a direct sum of
 one choice per block.  The total count is therefore a product of
-(part + 1) factors over a pair of partitions, and ranging over all such
-pairs yields the full spectrum of attainable counts for dimension n.
+(part + 1) factors over a pair of partitions.
+
+The spectrum M_n of all such products in dimension n is computed level
+by level as a set of values, without visiting the configurations
+themselves: one part less leaves a smaller dimension and a count
+divided by (part + 1).  :func:`enumerate_configs` still lists the
+configurations for per-configuration views and cross-checks.
 """
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
@@ -67,7 +73,8 @@ class SpectrumSet:
             raise ValueError("values must be strictly increasing")
 
     def __contains__(self, value: int) -> bool:
-        return value in self.values
+        i = bisect_left(self.values, value)
+        return i < len(self.values) and self.values[i] == value
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
@@ -129,14 +136,35 @@ def enumerate_configs(n: int) -> Iterator[BlockConfig]:
 
 
 def attainable_counts(n: int) -> SpectrumSet:
-    """The exact set of integers m for which some operator on R^n has
-    exactly m invariant subspaces.
+    """The exact set M_n of integers m for which some operator on R^n
+    has exactly m invariant subspaces.
 
-    Runs :func:`count_for_config` over :func:`enumerate_configs` and
-    deduplicates; values are returned in ascending order.
+    Computed as B_n by the recurrence B_0 = {1} and, for k >= 1,
+
+        B_k = union over j = 1..k of (j + 1) * B_{k-j}
+              union over j = 1..k//2 of (j + 1) * B_{k-2j}
+
+    Every configuration of dimension k >= 1 has a real part j (leaving
+    dimension k - j) or a conjugate-pair part j (leaving k - 2j), and
+    removing it divides the count by j + 1; conversely adding such a
+    part to any configuration of the smaller dimension multiplies its
+    count by j + 1.  Each level is a set, so the work grows with the
+    number of distinct counts, not with the number of configurations.
+    Values are returned in ascending order.
     """
-    values = sorted({count_for_config(c) for c in enumerate_configs(n)})
-    return SpectrumSet(n, tuple(values))
+    if n < 1:
+        raise ValueError(f"dimension must be positive: {n}")
+    # finished levels are only iterated, and a tuple holds them in about
+    # half the memory of a set
+    levels: list[tuple[int, ...]] = [(1,)]
+    for k in range(1, n + 1):
+        level: set[int] = set()
+        for j in range(1, k + 1):
+            level.update((j + 1) * v for v in levels[k - j])
+        for j in range(1, k // 2 + 1):
+            level.update((j + 1) * v for v in levels[k - 2 * j])
+        levels.append(tuple(level))
+    return SpectrumSet(n, tuple(sorted(levels[n])))
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from invsub.cli import main, parse_matrix_document
+from invsub.cli import SPECTRUM_MAX_N, TABLE_MAX_N, main, parse_matrix_document
+from invsub.combinatorics import partition_count
 from invsub.exactalg import RationalMatrix
 from invsub.spectrum import attainable_counts
 
@@ -67,6 +68,14 @@ class TestSpectrumCommand:
         assert target.read_text() == "M_4 = {3, 4, 5, 6, 8, 9, 12, 16}\n"
 
 
+def _rows(n: int) -> int:
+    # one table row per configuration: a partition of r for the conjugate
+    # pairs and one of n - 2r for the real roots
+    return sum(
+        partition_count(r) * partition_count(n - 2 * r) for r in range(n // 2 + 1)
+    )
+
+
 class TestTableCommand:
     def test_n4_rows_match_reference(self, capsys):
         status, out, _ = run(capsys, "table", "4")
@@ -105,6 +114,24 @@ class TestTableCommand:
             for row in group["rows"]
         }
         assert sorted(products) == list(attainable_counts(n))
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_prints_one_row_per_configuration(self, capsys, n):
+        _, out, _ = run(capsys, "table", str(n))
+        assert sum(1 for line in out.splitlines() if ROW.match(line)) == _rows(n)
+
+    def test_default_limit_bounds_the_row_count(self):
+        assert TABLE_MAX_N < SPECTRUM_MAX_N
+        assert _rows(TABLE_MAX_N) == 468_342
+        assert _rows(SPECTRUM_MAX_N) == 51_491_111
+
+    def test_rejects_above_its_own_default(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", str(TABLE_MAX_N + 1)])
+        assert excinfo.value.code == 2
+        status, out, _ = run(capsys, "spectrum", str(TABLE_MAX_N + 1))
+        assert status == 0
+        assert out.startswith(f"M_{TABLE_MAX_N + 1} = {{")
 
     def test_json_compositions_sum_correctly(self, capsys):
         _, out, _ = run(capsys, "table", "6", "--format", "json")

@@ -170,6 +170,22 @@ class TestSpectrumSet:
         assert list(s) == [3, 4, 5, 6, 8, 9, 12, 16]
         assert len(s) == 8
 
+    def test_membership_outside_and_between_values(self):
+        s = SpectrumSet(5, (4, 6, 8, 10, 12, 16, 18, 24, 32))
+        for value in s.values:
+            assert value in s
+        for value in (-1, 0, 1, 3):
+            assert value not in s
+        for value in (33, 64, 2**70):
+            assert value not in s
+        for value in (5, 7, 9, 11, 13, 17, 20, 31):
+            assert value not in s
+
+    @given(st.integers(1, 12), st.integers(-5, 5000))
+    def test_membership_matches_linear_scan(self, n, value):
+        s = attainable_counts(n)
+        assert (value in s) == (value in s.values)
+
 
 class TestAttainableCounts:
     @pytest.mark.parametrize(
@@ -185,12 +201,6 @@ class TestAttainableCounts:
         assert tuple(attainable_counts(n)) == expected
         assert tuple(attainable_counts_bruteforce(n)) == expected
 
-    def test_agrees_with_brute_force_up_to_10(self):
-        for n in range(1, 11):
-            assert tuple(attainable_counts(n)) == tuple(
-                attainable_counts_bruteforce(n)
-            )
-
     @given(st.integers(1, 16))
     def test_structural_properties(self, n):
         values = tuple(attainable_counts(n))
@@ -203,3 +213,61 @@ class TestAttainableCounts:
             attainable_counts(0)
         with pytest.raises(ValueError):
             attainable_counts_bruteforce(0)
+
+    def test_agrees_with_brute_force_up_to_20(self):
+        for n in range(1, 21):
+            assert tuple(attainable_counts(n)) == tuple(
+                attainable_counts_bruteforce(n)
+            )
+
+    def test_agrees_with_enumerated_configs_up_to_26(self):
+        for n in range(1, 27):
+            deduped = sorted({count_for_config(c) for c in enumerate_configs(n)})
+            assert tuple(attainable_counts(n)) == tuple(deduped)
+
+    @pytest.mark.parametrize(
+        "n, size",
+        [
+            (24, 1047),
+            (25, 1047),
+            (26, 1452),
+            (27, 1452),
+            (28, 1987),
+            (29, 1987),
+            (30, 2673),
+            (31, 2673),
+            (32, 3571),
+            (40, 10315),
+        ],
+    )
+    def test_pinned_sizes(self, n, size):
+        assert len(attainable_counts(n)) == size
+
+    @given(st.data())
+    def test_adding_a_part_multiplies_by_part_plus_one(self, data):
+        n = data.draw(st.integers(2, 24))
+        j = data.draw(st.integers(1, n - 1))
+        spectrum = attainable_counts(n)
+        for m in attainable_counts(n - j):
+            assert (j + 1) * m in spectrum
+        if 2 * j < n:
+            for m in attainable_counts(n - 2 * j):
+                assert (j + 1) * m in spectrum
+
+    @given(st.integers(1, 20))
+    def test_odd_dimension_doubles_the_even_one(self, k):
+        """M_{2k+1} = 2 * M_{2k}.
+
+        Adding a real block of size 1 doubles a count and adds one
+        dimension, so 2 * M_{2k} lies in M_{2k+1}.  Conversely, a
+        configuration of odd dimension 2k + 1 has odd real total, hence an
+        odd real part a.  Replacing a by a real part 1 plus a conjugate
+        part (a - 1) / 2 (no conjugate part when a = 1) keeps the
+        dimension, 1 + (a - 1) = a, and the factor, 2 * (a + 1) / 2 =
+        a + 1.  The new configuration has a real 1-block; dropping it
+        leaves dimension 2k and half the count, so M_{2k+1} lies in
+        2 * M_{2k}.
+        """
+        even = tuple(attainable_counts(2 * k))
+        odd = tuple(attainable_counts(2 * k + 1))
+        assert odd == tuple(2 * m for m in even)
