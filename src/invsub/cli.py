@@ -25,9 +25,9 @@ from .spectrum import (
     enumerate_configs,
 )
 
-# `spectrum` costs grow with |M_n| (seconds at n = 64); `table` prints one
-# row per configuration, sum_r p(r) p(n - 2r): 468,342 rows at n = 40 and
-# 51,491,111 at n = 64
+# `spectrum` costs grow with |M_n| (under a second at n = 64); `table`
+# prints one row per configuration, sum_r p(r) p(n - 2r): 468,342 rows at
+# n = 40 and 51,491,111 at n = 64
 SPECTRUM_MAX_N = 64
 TABLE_MAX_N = 40
 SELFCHECK_LIMIT = 16
@@ -53,6 +53,12 @@ def _parse_token(token: str, row: int, col: int) -> Fraction:
         raise MatrixInputError(
             f"row {row}, column {col}: zero denominator in {token!r}"
         ) from None
+    except ValueError:
+        # the interpreter's int-string conversion limit
+        raise MatrixInputError(
+            f"row {row}, column {col}: integer with more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _parse_text_matrix(text: str) -> RationalMatrix:
@@ -75,6 +81,12 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixInputError(f"invalid JSON matrix document: {exc}") from None
+    except ValueError:
+        # the interpreter's int-string conversion limit
+        raise MatrixInputError(
+            "JSON matrix document has an integer with more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     if isinstance(doc, dict):
         doc = doc.get("rows")
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):

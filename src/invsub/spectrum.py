@@ -7,10 +7,12 @@ k + 1 nested subspaces, and every invariant subspace is a direct sum of
 one choice per block.  The total count is therefore a product of
 (part + 1) factors over a pair of partitions.
 
-The spectrum M_n of all such products in dimension n is computed level
-by level as a set of values, without visiting the configurations
-themselves: one part less leaves a smaller dimension and a count
-divided by (part + 1).  :func:`enumerate_configs` still lists the
+The spectrum M_n of all such products in dimension n is computed as a
+set of values, without visiting the configurations themselves.  Two
+trades that keep dimension and count reduce every configuration to
+units of even dimension plus at most one real 1-block, so only the
+levels of half-dimension 0..n//2 are built, each from the smaller ones
+by adding one unit.  :func:`enumerate_configs` still lists the
 configurations for per-configuration views and cross-checks.
 """
 
@@ -139,17 +141,34 @@ def attainable_counts(n: int) -> SpectrumSet:
     """The exact set M_n of integers m for which some operator on R^n
     has exactly m invariant subspaces.
 
-    Computed as B_n by the recurrence B_0 = {1} and, for k >= 1,
+    Computed as M_n = 2^(n mod 2) * E_{n//2}, where E_0 = {1} and, for
+    m >= 1,
 
-        B_k = union over j = 1..k of (j + 1) * B_{k-j}
-              union over j = 1..k//2 of (j + 1) * B_{k-2j}
+        E_m = union over h = 1..m, f in F(h) of f * E_{m-h},
+        F(1) = {2, 3, 4},  F(h) = {h + 1, 2h + 1} for h >= 2.
 
-    Every configuration of dimension k >= 1 has a real part j (leaving
-    dimension k - j) or a conjugate-pair part j (leaving k - 2j), and
-    removing it divides the count by j + 1; conversely adding such a
-    part to any configuration of the smaller dimension multiplies its
-    count by j + 1.  Each level is a set, so the work grows with the
-    number of distinct counts, not with the number of configurations.
+    A unit of half-dimension h is a conjugate-pair part h (factor
+    h + 1), a real part 2h (factor 2h + 1) or, for h = 1 only, two real
+    1-blocks (factor 4).  E_m is the set of counts of multisets of units
+    of total half-dimension m: each such multiset either is empty or
+    loses one unit of size h to leave one of size m - h.
+
+    Proof.  A configuration made of units, plus one real 1-block when n
+    is odd, has dimension n and count 2^(n mod 2) times the product of
+    its unit factors, so 2^(n mod 2) * E_{n//2} lies in M_n.
+    Conversely, take any configuration of dimension n and apply two
+    trades, each keeping dimension and count.  First, an odd real part
+    a >= 3 becomes a real 1-block plus a conjugate-pair part (a - 1)/2:
+    dimension 1 + (a - 1) = a, factor 2 * (a + 1)/2 = a + 1.  Now every
+    real part is 1 or even.  Second, pair up the real 1-blocks; each
+    pair is a unit of dimension 2 and factor 4.  What is left is a
+    multiset of units and at most one unpaired 1-block, present exactly
+    when n is odd since every unit has even dimension.  So M_n lies in
+    2^(n mod 2) * E_{n//2}.
+
+    Each level is a set, so the work grows with the number of distinct
+    counts, not with the number of configurations, and only n//2
+    levels with two factors per part size (three for h = 1) are built.
     Values are returned in ascending order.
     """
     if n < 1:
@@ -157,14 +176,14 @@ def attainable_counts(n: int) -> SpectrumSet:
     # finished levels are only iterated, and a tuple holds them in about
     # half the memory of a set
     levels: list[tuple[int, ...]] = [(1,)]
-    for k in range(1, n + 1):
+    for m in range(1, n // 2 + 1):
         level: set[int] = set()
-        for j in range(1, k + 1):
-            level.update((j + 1) * v for v in levels[k - j])
-        for j in range(1, k // 2 + 1):
-            level.update((j + 1) * v for v in levels[k - 2 * j])
+        for h in range(1, m + 1):
+            for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
+                level.update(f * v for v in levels[m - h])
         levels.append(tuple(level))
-    return SpectrumSet(n, tuple(sorted(levels[n])))
+    scale = 2 if n % 2 else 1
+    return SpectrumSet(n, tuple(sorted(scale * v for v in levels[n // 2])))
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:

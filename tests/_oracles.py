@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different route than the library
 (cofactor expansion and the Faddeev-LeVerrier recurrence instead of
 integer Krylov elimination, flattened matrix powers instead of vector
 Krylov chains, direct enumeration instead of polynomial convolution, a
-DP table instead of the pentagonal recurrence) so that agreement is
+DP table instead of the pentagonal recurrence, a recurrence over every
+dimension instead of over half-dimensions) so that agreement is
 evidence, not tautology.
 """
 
@@ -109,6 +110,28 @@ def brute_force_profile(config: BlockConfig) -> tuple[int, ...]:
     choices += [range(0, 2 * k + 1, 2) for k in config.complex_blocks]
     histogram = Counter(sum(dims) for dims in product(*choices))
     return tuple(histogram.get(d, 0) for d in range(config.n + 1))
+
+
+def attainable_counts_by_dimension(max_n: int) -> list[tuple[int, ...]]:
+    """M_0 = {1}, M_1, ..., M_max_n, each sorted, by the recurrence
+
+        M_k = union over j = 1..k of (j + 1) * M_{k-j}
+              union over j = 1..k//2 of (j + 1) * M_{k-2j}
+
+    Every configuration of dimension k >= 1 has a real part j (leaving
+    dimension k - j) or a conjugate-pair part j (leaving k - 2j), and
+    removing it divides the count by j + 1.  Builds every level,
+    odd ones included, with every part size.
+    """
+    levels: list[set[int]] = [{1}]
+    for k in range(1, max_n + 1):
+        level: set[int] = set()
+        for j in range(1, k + 1):
+            level.update((j + 1) * v for v in levels[k - j])
+        for j in range(1, k // 2 + 1):
+            level.update((j + 1) * v for v in levels[k - 2 * j])
+        levels.append(level)
+    return [tuple(sorted(level)) for level in levels]
 
 
 def naive_partition_count(n: int) -> int:

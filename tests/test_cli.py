@@ -250,6 +250,22 @@ class TestAnalyzeCommand:
         assert status == 1
         assert "zero denominator" in err
 
+    def test_oversized_integer_names_row_and_column(self, capsys, tmp_path):
+        path = self.write(tmp_path, "1 0\n0 " + "7" * 5000 + "\n")
+        status, _, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert "row 2, column 2" in err
+        assert "digits" in err
+        assert len(err.splitlines()) == 1
+
+    def test_oversized_integer_rejected_in_json(self, capsys, tmp_path):
+        text = "[[1, 0], [0, " + "7" * 5000 + "]]"
+        path = self.write(tmp_path, text, "matrix.json")
+        status, _, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert "digits" in err
+        assert len(err.splitlines()) == 1
+
     def test_nonsquare_rejected(self, capsys, tmp_path):
         path = self.write(tmp_path, "1 0 0\n0 1 0\n")
         status, _, err = run(capsys, "analyze", path)

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from invsub.spectrum import (
     enumerate_configs,
 )
 
-from _oracles import brute_force_profile
+from _oracles import attainable_counts_by_dimension, brute_force_profile
 
 
 @st.composite
@@ -225,6 +226,11 @@ class TestAttainableCounts:
             deduped = sorted({count_for_config(c) for c in enumerate_configs(n)})
             assert tuple(attainable_counts(n)) == tuple(deduped)
 
+    def test_agrees_with_full_dimension_recurrence_up_to_46(self):
+        oracle = attainable_counts_by_dimension(46)
+        for n in range(1, 47):
+            assert tuple(attainable_counts(n)) == oracle[n]
+
     @pytest.mark.parametrize(
         "n, size",
         [
@@ -271,3 +277,37 @@ class TestAttainableCounts:
         even = tuple(attainable_counts(2 * k))
         odd = tuple(attainable_counts(2 * k + 1))
         assert odd == tuple(2 * m for m in even)
+
+    @given(block_configs(max_n=24))
+    def test_trades_reach_units_and_at_most_one_real_one(self, config):
+        """Every configuration trades into the shape that
+        :func:`attainable_counts` builds, with the same dimension and count.
+
+        An odd real part a >= 3 becomes a real 1-block plus a
+        conjugate-pair part (a - 1) / 2; then the real 1-blocks are paired
+        into units of dimension 2 and factor 4.
+        """
+        complex_parts = list(config.complex_blocks)
+        real_parts = []
+        for a in config.real_blocks:
+            if a % 2 and a >= 3:
+                real_parts.append(1)
+                complex_parts.append((a - 1) // 2)
+            else:
+                real_parts.append(a)
+        traded = BlockConfig(tuple(complex_parts), tuple(real_parts))
+        assert traded.n == config.n
+        assert count_for_config(traded) == count_for_config(config)
+        assert all(a == 1 or a % 2 == 0 for a in traded.real_blocks)
+
+        ones = traded.real_blocks.count(1)
+        unpaired = ones % 2
+        assert unpaired == config.n % 2
+        # units as (half-dimension h, factor f in F(h))
+        units = [(k, k + 1) for k in traded.complex_blocks]
+        units += [(a // 2, a + 1) for a in traded.real_blocks if a != 1]
+        units += [(1, 4)] * (ones // 2)
+        for h, f in units:
+            assert f in ((2, 3, 4) if h == 1 else (h + 1, 2 * h + 1))
+        assert 2 * sum(h for h, _ in units) + unpaired == config.n
+        assert 2**unpaired * prod(f for _, f in units) == count_for_config(config)
