@@ -33,7 +33,9 @@ TABLE_MAX_N = 40
 SELFCHECK_LIMIT = 16
 ROUNDTRIP_LIMIT = 8
 
-_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+# error messages quote at most this many characters of a token
+QUOTE_CHARS = 40
 
 
 class MatrixInputError(ValueError):
@@ -41,17 +43,27 @@ class MatrixInputError(ValueError):
     matrix; the message names the offending row/column."""
 
 
-def _parse_token(token: str, row: int, col: int) -> Fraction:
-    if not _TOKEN.match(token):
+def _quoted(token: str) -> str:
+    if len(token) <= QUOTE_CHARS:
+        return repr(token)
+    return f"{token[:QUOTE_CHARS]!r}... ({len(token)} characters)"
+
+
+def _parse_token(token: str, row: int, col: int) -> int | Fraction:
+    match = _TOKEN.match(token)
+    if not match:
         raise MatrixInputError(
-            f"row {row}, column {col}: invalid rational token {token!r} "
+            f"row {row}, column {col}: invalid rational token {_quoted(token)} "
             "(expected an integer or p/q)"
         )
+    numerator, denominator = match.groups()
     try:
-        return Fraction(token)
+        if denominator is None:
+            return int(numerator)
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise MatrixInputError(
-            f"row {row}, column {col}: zero denominator in {token!r}"
+            f"row {row}, column {col}: zero denominator in {_quoted(token)}"
         ) from None
     except ValueError:
         # the interpreter's int-string conversion limit
@@ -102,7 +114,7 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
                     f"row {i}, column {j}: entry {cell!r} is not an exact rational"
                 )
             if isinstance(cell, int):
-                parsed.append(Fraction(cell))
+                parsed.append(cell)
             elif isinstance(cell, str):
                 parsed.append(_parse_token(cell, i, j))
             else:
@@ -113,7 +125,7 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
     return _build_matrix(rows)
 
 
-def _build_matrix(rows: list[list[Fraction]]) -> RationalMatrix:
+def _build_matrix(rows: list[list[int | Fraction]]) -> RationalMatrix:
     if not rows:
         raise MatrixInputError("matrix document contains no rows")
     n = len(rows)

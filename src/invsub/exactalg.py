@@ -11,14 +11,22 @@ denominators, and a polynomial of dA rescales to the one of A
 coefficient by coefficient: c_k(A) = c_k(dA) / d^(deg - k).  A
 polynomial is cleared to a primitive integer polynomial the same way.
 
+Krylov chains v, Av, A^2 v, ... run through one column-wise
+fraction-free (Bareiss) elimination: each vector enters as a new column,
+passes through the earlier elimination steps and becomes a step of its
+own while it is independent.  Back substitution through the fixed
+entries of the chain's columns turns the first dependent vector into
+the chain's monic integer polynomial.
+
 * ``min_poly``: the lcm of the minimal polynomials of the start vectors
-  (1, 2, ..., n), e_1, ..., e_n, each the dependence found by one
-  fraction-free (Bareiss) Krylov elimination of v, Av, A^2 v, ...  A
-  vector inside the span of the earlier Krylov spaces is skipped (that
-  span is A-invariant, so its minimal polynomial already divides the
-  lcm), and the search stops as soon as the degree reaches n.
-* ``char_poly``: the product of the quotient polynomials of successive
-  Krylov chains, each chain reduced against the earlier ones
+  (1, 2, ..., n), e_1, ..., e_n, each from the Krylov chain of the
+  vector on its own.  A vector inside the span of the earlier Krylov
+  spaces is skipped (that span is A-invariant, so its minimal
+  polynomial already divides the lcm), and the search stops as soon as
+  the degree reaches n.
+* ``char_poly``: the product of the polynomials of successive Krylov
+  chains, each chain continuing the elimination of the earlier ones, so
+  that it yields the quotient polynomial modulo their span
   (Keller-Gehrig).
 * ``squarefree_decompose``: Yun's algorithm, with gcds taken by the
   primitive pseudo-remainder sequence and exact integer division.
@@ -40,6 +48,8 @@ from operator import mul
 
 
 def _to_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: exact rational input required"
@@ -454,55 +464,86 @@ def _rescaled(q: list[int], d: int) -> RationalPolynomial:
     )
 
 
-def _reduce(
-    w: list[int], rows: list[tuple[int, list[int]]], n: int
-) -> tuple[int | None, list[int]]:
-    """One fraction-free (Bareiss) elimination step for a new input row.
+class _Basis:
+    """A column-wise fraction-free (Bareiss) elimination of independent
+    integer vectors, ready to take one more.
 
-    ``rows`` are the ``(pivot, row)`` results of this function on the
-    earlier input rows, in order.  Each step multiplies by the current
-    pivot and divides exactly by the previous one, so every entry stays
-    a minor of the input rows.  A row shorter than w stands for one
-    padded with zeros.  Returns the reduced row and the index of its
-    first nonzero entry among the first n (None when those are all zero,
-    that is when w lies in the span of the earlier inputs there).
+    Rows are permuted by ``order`` so that the pivot of step j sits in
+    row j.  ``columns[j]`` is the j-th vector entered, reduced by steps
+    0..j-1: entries 0..j-1 were fixed by those steps, entry j is the
+    pivot of step j and entries j+1.. are its multipliers on the rows
+    still live at step j.
     """
+
+    __slots__ = ("order", "columns")
+
+    def __init__(self, n: int) -> None:
+        self.order = list(range(n))
+        self.columns: list[list[int]] = []
+
+
+def _reduce(x: list[int], basis: _Basis) -> list[int]:
+    """Pass a new column x through the Bareiss steps of ``basis``.
+
+    Step j fixes the entry in its pivot row j and updates only the live
+    rows j+1.., multiplying by the pivot p_j and dividing exactly by
+    the previous pivot, so every entry stays a minor of the input
+    vectors.  A zero entry in the pivot row leaves nothing to subtract,
+    but the live rows are still rescaled by p_j / p_{j-1}.  Returns the
+    reduced column: entries 0..k-1 fixed, k.. live, where k is the
+    number of columns of ``basis``; x lies in their span exactly when
+    the live entries are all zero.
+    """
+    c = [x[i] for i in basis.order]
     previous = 1
-    for pivot, row in rows:
-        p, f = row[pivot], w[pivot]
+    for j, column in enumerate(basis.columns):
+        p, f = column[j], c[j]
         if f:
-            w = [(p * x - f * y) // previous for x, y in zip(w, row)] + [
-                p * x // previous for x in w[len(row):]
+            c[j + 1:] = [
+                (p * y - f * m) // previous for y, m in zip(c[j + 1:], column[j + 1:])
             ]
         elif p != previous:
-            w = [p * x // previous for x in w]
+            c[j + 1:] = [p * y // previous for y in c[j + 1:]]
         previous = p
-    return next((i for i in range(n) if w[i]), None), w
+    return c
 
 
-def _krylov(
-    b: list[list[int]], v: list[int], basis: list[tuple[int, list[int]]]
-) -> tuple[list[int], list[tuple[int, list[int]]]]:
+def _krylov(b: list[list[int]], v: list[int], basis: _Basis) -> list[int]:
     """Krylov elimination of v, Bv, B^2 v, ... modulo the span of ``basis``.
 
-    The vectors continue the elimination that produced ``basis``.  The
-    k-th one is entered with the unit vector x^k appended, so after its
-    n entries a reduced row carries the coefficients of the polynomial q
-    with row = q(B) v modulo span(basis); the first row that reduces to
-    zero yields the dependence.  Returns the least-degree primitive
-    integer q with q(B) v in span(basis), and the chain's rows cut to
-    length n, ready to extend ``basis``.
+    Each vector continues the elimination of ``basis`` as a new column
+    and, while independent, joins it as a new step with its pivot
+    swapped into row k.  The first dependent vector B^k v has all live
+    entries zero; back substitution through the fixed entries of the
+    chain's columns gives its coefficients y_i on the chain vectors
+    B^i v.  Returns q = x^k - sum_i y_i x^i, the least-degree monic q
+    with q(B) v in span(basis), and leaves the chain in ``basis``.
+
+    The back substitution divides exactly.  ``basis`` holds whole
+    Krylov chains, so its span is B-invariant and q divides the minimal
+    polynomial of the integer matrix B, which is monic in Z[x]; by
+    Gauss's lemma the y_i are integers.
     """
-    n = len(v)
-    chain: list[tuple[int, list[int]]] = []
+    start = len(basis.columns)
     x = v
     while True:
-        k = len(chain)
-        pivot, w = _reduce(x + [0] * k + [1] + [0] * (n - k), basis + chain, n)
+        c = _reduce(x, basis)
+        k = len(basis.columns)
+        pivot = next((i for i in range(k, len(c)) if c[i]), None)
         if pivot is None:
-            return _primitive(_strip(w[n:])), [(p, row[:n]) for p, row in chain]
-        chain.append((pivot, w))
+            break
+        basis.columns.append(c)
+        if pivot != k:
+            for column in basis.columns:
+                column[k], column[pivot] = column[pivot], column[k]
+            basis.order[k], basis.order[pivot] = basis.order[pivot], basis.order[k]
         x = [sum(map(mul, row, x)) for row in b]
+    columns = basis.columns
+    y = [0] * (k - start)
+    for i in range(k - 1, start - 1, -1):
+        rest = c[i] - sum(columns[j][i] * y[j - start] for j in range(i + 1, k))
+        y[i - start] = rest // columns[i][i]
+    return [-t for t in y] + [1]
 
 
 def _start_vectors(n: int) -> list[list[int]]:
@@ -529,13 +570,11 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
     n = a.n
     d, b = _integer_matrix(a)
     poly = [1]
-    basis: list[tuple[int, list[int]]] = []
+    basis = _Basis(n)
     for v in _start_vectors(n):
-        if len(basis) == n:
+        if len(basis.columns) == n:
             break
-        q, rows = _krylov(b, v, basis)
-        poly = _mul(poly, q)
-        basis.extend(rows)
+        poly = _mul(poly, _krylov(b, v, basis))
     return _rescaled(poly, d)
 
 
@@ -552,17 +591,17 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     n = a.n
     d, b = _integer_matrix(a)
     mu = [1]
-    span: list[tuple[int, list[int]]] = []
+    span = _Basis(n)
     for v in _start_vectors(n):
-        q, rows = _krylov(b, v, span)
-        if not rows:
+        before = len(span.columns)
+        q = _krylov(b, v, span)
+        if len(span.columns) == before:
             continue
-        if span:
+        if before:
             # q is only the part of v's minimal polynomial outside span
-            q = _krylov(b, v, [])[0]
-        span.extend(rows)
+            q = _krylov(b, v, _Basis(n))
         mu = _mul(mu, _divexact(q, _gcd(mu, q)))
-        if len(mu) > n or len(span) == n:
+        if len(mu) > n or len(span.columns) == n:
             break
     return _rescaled(mu, d)
 

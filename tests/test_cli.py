@@ -1,10 +1,13 @@
 import hashlib
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from invsub.cli import SPECTRUM_MAX_N, TABLE_MAX_N, main, parse_matrix_document
+from invsub.cli import QUOTE_CHARS, SPECTRUM_MAX_N, TABLE_MAX_N, main, parse_matrix_document
 from invsub.combinatorics import partition_count
 from invsub.exactalg import RationalMatrix
 from invsub.spectrum import attainable_counts
@@ -266,6 +269,30 @@ class TestAnalyzeCommand:
         assert "digits" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, name, where, reason",
+        [
+            ("1 0\n0 " + "7" * 5000 + "x\n", "matrix.txt", "row 2, column 2", "invalid"),
+            ("1 0\n0 " + "7" * 3000 + "/0\n", "matrix.txt", "row 2, column 2", "zero denominator"),
+            ('[[1, "' + "7" * 5000 + 'x"], [0, 1]]', "matrix.json", "row 1, column 2", "invalid"),
+            ('[[1, 0], ["' + "7" * 3000 + '/0", 1]]', "matrix.json", "row 2, column 1", "zero denominator"),
+        ],
+    )
+    def test_long_bad_token_quoted_briefly(self, capsys, tmp_path, text, name, where, reason):
+        path = self.write(tmp_path, text, name)
+        status, _, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert len(err.encode()) < 200
+        assert where in err and reason in err
+        assert "'" + "7" * QUOTE_CHARS + "'... (" in err and " characters)" in err
+
+    def test_short_bad_token_quoted_whole(self, capsys, tmp_path):
+        token = "7" * (QUOTE_CHARS - 1) + "x"
+        path = self.write(tmp_path, f"1 0\n0 {token}\n")
+        status, _, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert repr(token) + " (expected" in err
+
     def test_nonsquare_rejected(self, capsys, tmp_path):
         path = self.write(tmp_path, "1 0 0\n0 1 0\n")
         status, _, err = run(capsys, "analyze", path)
@@ -342,3 +369,46 @@ class TestParseMatrixDocument:
     def test_json_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_matrix_document("[[1, 0], [0, 1]")
+
+
+# tokens of the matrix grammar: optional sign, ASCII digits (leading
+# zeros allowed), optional nonzero denominator
+digit_strings = st.text("0123456789", min_size=1, max_size=12)
+tokens = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "+", "-"]),
+    digit_strings,
+    st.none() | digit_strings.filter(lambda q: int(q) != 0),
+)
+
+
+@st.composite
+def token_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [draw(st.lists(tokens, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestParserEquivalence:
+    """parse_matrix_document against Fraction(token) entry by entry."""
+
+    @staticmethod
+    def expected(token_rows):
+        return RationalMatrix([[Fraction(t) for t in row] for row in token_rows])
+
+    @staticmethod
+    def assert_same(matrix, expected):
+        assert matrix == expected
+        assert all(type(x) is Fraction for row in matrix.entries for x in row)
+
+    @given(token_matrices(), st.sampled_from([" ", "\t", "  "]), st.sampled_from(["\n", "\r\n"]))
+    @example([["-0/5", "007"], ["+3", "-6/4"]], " ", "\n")
+    def test_text_documents(self, token_rows, gap, newline):
+        text = newline.join(gap.join(row) for row in token_rows) + newline
+        self.assert_same(parse_matrix_document(text), self.expected(token_rows))
+
+    @given(token_matrices(), st.randoms(use_true_random=False))
+    @example([["-0/5", "-0"], ["12", "0/7"]], random.Random(0))
+    def test_json_documents(self, token_rows, rng):
+        # integer tokens go in as JSON ints or strings, p/q tokens as strings
+        cells = [[t if "/" in t or rng.random() < 0.5 else int(t) for t in row] for row in token_rows]
+        self.assert_same(parse_matrix_document(json.dumps(cells)), self.expected(token_rows))

@@ -14,11 +14,15 @@ from invsub.exactalg import (
     squarefree_decompose,
 )
 
+from invsub.analyzer import real_jordan_block, realize_config, standard_jordan_block
+from invsub.spectrum import enumerate_configs
+
 from _oracles import (
     char_poly_cofactor,
     char_poly_faddeev_leverrier,
     companion_matrix,
     min_poly_flattened_powers,
+    random_fraction,
     random_invertible_matrix,
     random_rational_matrix,
 )
@@ -279,6 +283,63 @@ class TestAgainstFractionOracles:
             for matrix in (a, p.inverse() * a * p):
                 self.assert_agrees(matrix)
                 assert min_poly(matrix).degree < matrix.n
+
+    def test_derogatory_sums_that_need_three_or_more_chains(self):
+        # every Krylov space of C(p)+C(p)+C(p) has dimension at most
+        # deg p, so the elimination runs at least three chains, and each
+        # chain after the first back-substitutes against a nonempty basis
+        rng = random.Random(47)
+        quadratic, cubic = poly(1, 0, 1), poly(-2, 1) ** 2 * poly(Fraction(1, 3), 1)
+        cases = [
+            (quadratic,) * 3,
+            (cubic,) * 3,
+            (poly(5, 1),) * 4 + (quadratic,),
+            (quadratic, cubic, quadratic, cubic),
+            (cubic, cubic * poly(-1, 1), cubic),
+            (poly(1, 1, 1) ** 2,) * 3,
+        ]
+        for factors in cases:
+            a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
+            p = random_invertible_matrix(rng, a.n)
+            for matrix in (a, p.inverse() * a * p):
+                self.assert_agrees(matrix)
+
+    def test_sparse_matrices(self):
+        # mostly zero entries leave zeros in pivot rows, where a Bareiss
+        # step subtracts nothing and only rescales the live rows
+        rng = random.Random(43)
+        for n in range(2, 11):
+            for density in (0.1, 0.25):
+                for _ in range(3):
+                    a = RationalMatrix(
+                        [
+                            [random_fraction(rng) if rng.random() < density else 0 for _ in range(n)]
+                            for _ in range(n)
+                        ]
+                    )
+                    self.assert_agrees(a)
+
+    def test_unconjugated_real_jordan_forms(self):
+        for n in range(1, 7):
+            for config in enumerate_configs(n):
+                self.assert_agrees(realize_config(config))
+        # shared roots: derogatory real Jordan forms
+        for blocks in (
+            [standard_jordan_block(2, 3), standard_jordan_block(2, 1), standard_jordan_block(2, 2)],
+            [real_jordan_block(1, 2, 2), real_jordan_block(1, 2, 1), standard_jordan_block(0, 2)],
+            [real_jordan_block(0, 1, 1)] * 3 + [standard_jordan_block(Fraction(1, 2), 1)] * 2,
+        ):
+            self.assert_agrees(RationalMatrix.block_diagonal(blocks))
+
+    def test_permutation_matrices(self):
+        rng = random.Random(53)
+        for n in range(1, 11):
+            for _ in range(4):
+                image = list(range(n))
+                rng.shuffle(image)
+                self.assert_agrees(
+                    RationalMatrix([[int(image[i] == j) for j in range(n)] for i in range(n)])
+                )
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_first_start_vector_is_an_eigenvector(self, n):
