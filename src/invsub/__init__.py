@@ -8,7 +8,6 @@ functionality from a shell.
 """
 
 from .analyzer import (
-    JordanSignature,
     SubspaceCount,
     count_invariant_subspaces,
     is_count_finite,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockConfig",
-    "JordanSignature",
     "Multipartition",
     "RationalMatrix",
     "RationalPolynomial",

@@ -24,97 +24,45 @@ from .spectrum import BlockConfig, count_for_config, dimension_profile
 
 
 @dataclass(frozen=True)
-class JordanSignature:
-    """Root-multiplicity multisets of a characteristic polynomial.
-
-    One entry per distinct real root and one per distinct conjugate
-    pair, each holding the root's multiplicity.  Root values are
-    deliberately not stored: for a matrix with full-degree minimal
-    polynomial the multiplicities alone determine the block structure,
-    hence the invariant-subspace count.  Entries are kept sorted
-    descending.
-    """
-
-    real_multiplicities: tuple[int, ...]
-    complex_pair_multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "real_multiplicities",
-            tuple(sorted(self.real_multiplicities, reverse=True)),
-        )
-        object.__setattr__(
-            self,
-            "complex_pair_multiplicities",
-            tuple(sorted(self.complex_pair_multiplicities, reverse=True)),
-        )
-        if any(m < 1 for m in self.real_multiplicities) or any(
-            m < 1 for m in self.complex_pair_multiplicities
-        ):
-            raise ValueError("multiplicities must be positive")
-
-    @property
-    def n(self) -> int:
-        """Degree of the underlying characteristic polynomial."""
-        return sum(self.real_multiplicities) + 2 * sum(
-            self.complex_pair_multiplicities
-        )
-
-    def block_config(self) -> BlockConfig:
-        """The block configuration induced when each root has one block."""
-        return BlockConfig(
-            complex_blocks=self.complex_pair_multiplicities,
-            real_blocks=self.real_multiplicities,
-        )
-
-
-@dataclass(frozen=True)
 class SubspaceCount:
-    """Result of an analysis: either infinite, or an exact count with
-    the signature and dimension profile that produced it.
+    """Result of an analysis: either infinite, or the signature and
+    dimension profile of a finite count.
 
-    ``count`` is None for the infinite case.
+    Both fields are None for the infinite case.  The count itself is
+    the profile's sum, and :func:`count_for_config` of the signature
+    cross-checks it once, when the result is built.
     """
 
-    count: int | None
-    signature: JordanSignature | None = None
+    signature: BlockConfig | None = None
     profile: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.count is None:
-            if self.signature is not None or self.profile is not None:
-                raise ValueError("infinite counts carry no signature or profile")
-            return
-        if self.signature is None or self.profile is None:
+        if (self.signature is None) != (self.profile is None):
             raise ValueError("finite counts carry a signature and a profile")
-        expected = count_for_config(self.signature.block_config())
-        if self.count != expected:
-            raise ValueError(
-                f"count {self.count} does not match signature product {expected}"
-            )
-        if sum(self.profile) != self.count:
-            raise ValueError("profile does not sum to the count")
+        if self.is_finite and self.count != count_for_config(self.signature):
+            raise ValueError("profile does not sum to the signature product")
+
+    @property
+    def count(self) -> int | None:
+        """The number of invariant subspaces, None when infinite."""
+        return None if self.profile is None else sum(self.profile)
 
     @property
     def is_finite(self) -> bool:
-        return self.count is not None
+        return self.profile is not None
 
     @classmethod
     def infinite(cls) -> "SubspaceCount":
-        return cls(count=None)
+        return cls()
 
     @classmethod
     def finite(
-        cls,
-        count: int,
-        signature: JordanSignature,
-        profile: tuple[int, ...],
+        cls, signature: BlockConfig, profile: tuple[int, ...]
     ) -> "SubspaceCount":
-        return cls(count=count, signature=signature, profile=profile)
+        return cls(signature, profile)
 
 
-def _signature(p: RationalPolynomial) -> JordanSignature:
+def _signature(p: RationalPolynomial) -> BlockConfig:
     """Root-multiplicity multisets of p.
 
     Each squarefree factor g of multiplicity m contributes one entry m
@@ -127,15 +75,16 @@ def _signature(p: RationalPolynomial) -> JordanSignature:
         real_roots = count_real_roots(g)
         real.extend([multiplicity] * real_roots)
         complex_pairs.extend([multiplicity] * ((g.degree - real_roots) // 2))
-    return JordanSignature(tuple(real), tuple(complex_pairs))
+    return BlockConfig(tuple(complex_pairs), tuple(real))
 
 
-def jordan_signature(a: RationalMatrix) -> JordanSignature:
-    """Extract root-multiplicity multisets from the characteristic
-    polynomial of ``a``.
+def jordan_signature(a: RationalMatrix) -> BlockConfig:
+    """Root multiplicities of the characteristic polynomial of ``a``, as
+    a :class:`BlockConfig`.
 
-    The result describes the Jordan block structure only when ``a`` has
-    full-degree minimal polynomial; it is well defined regardless.
+    Root values are not kept.  The result describes the Jordan block
+    structure only when ``a`` is nonderogatory (full-degree minimal
+    polynomial, one block per root); it is well defined regardless.
     """
     return _signature(char_poly(a))
 
@@ -156,19 +105,16 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
     """Exact invariant-subspace count of a rational matrix.
 
     Returns the infinite marker for derogatory matrices; otherwise the
-    count is the product of (multiplicity + 1) over the signature, with
-    the per-dimension profile attached.  The minimal polynomial is
-    computed once: when it has degree n it is also the characteristic
-    polynomial.
+    signature and its per-dimension profile, whose sum is the count:
+    the product of (multiplicity + 1) over the signature.  The minimal
+    polynomial is computed once: when it has degree n it is also the
+    characteristic polynomial.
     """
     minimal = min_poly(a)
     if minimal.degree != a.n:
         return SubspaceCount.infinite()
     signature = _signature(minimal)
-    config = signature.block_config()
-    count = count_for_config(config)
-    profile = dimension_profile(config)
-    return SubspaceCount.finite(count, signature, profile)
+    return SubspaceCount.finite(signature, dimension_profile(signature))
 
 
 def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
@@ -218,8 +164,8 @@ def realize_config(config: BlockConfig) -> RationalMatrix:
     result therefore reproduces exactly the count of ``config``.
     """
     blocks = []
-    for i, k in enumerate(config.complex_blocks):
+    for i, k in enumerate(config.complex_pair_multiplicities):
         blocks.append(real_jordan_block(0, i + 1, k))
-    for i, k in enumerate(config.real_blocks):
+    for i, k in enumerate(config.real_multiplicities):
         blocks.append(standard_jordan_block(i + 1, k))
     return RationalMatrix.block_diagonal(blocks)

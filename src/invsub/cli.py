@@ -13,12 +13,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .analyzer import count_invariant_subspaces, realize_config
-from .combinatorics import Multipartition, partitions_of
 from .exactalg import RationalMatrix
 from .spectrum import (
-    BlockConfig,
     attainable_counts,
     attainable_counts_bruteforce,
     count_for_config,
@@ -109,17 +108,14 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
     for i, row in enumerate(doc, start=1):
         parsed = []
         for j, cell in enumerate(row, start=1):
-            if isinstance(cell, bool) or isinstance(cell, float):
-                raise MatrixInputError(
-                    f"row {i}, column {j}: entry {cell!r} is not an exact rational"
-                )
-            if isinstance(cell, int):
+            if isinstance(cell, int) and not isinstance(cell, bool):
                 parsed.append(cell)
             elif isinstance(cell, str):
                 parsed.append(_parse_token(cell, i, j))
             else:
                 raise MatrixInputError(
-                    f"row {i}, column {j}: entry {cell!r} is not an exact rational"
+                    f"row {i}, column {j}: entry {_quoted(json.dumps(cell))} "
+                    "is not an exact rational"
                 )
         rows.append(parsed)
     return _build_matrix(rows)
@@ -178,28 +174,20 @@ def cmd_spectrum(n: int, fmt: str) -> str:
     return _report("spectrum", input_obj, _params_digest(input_obj), result)
 
 
-def _display_composition(m: Multipartition) -> tuple[int, ...]:
-    # derived compositions drop zero parts; the table re-inserts a 0
-    # wherever the outer composition has a zero part, for display only
-    out: list[int] = []
-    for part, theta in zip(m.composition, m.partitions):
-        if part == 0:
-            out.append(0)
-        else:
-            out.extend(theta)
-    return tuple(out)
-
-
 def _table_groups(n: int):
-    for r in range(n // 2 + 1):
-        s = n - 2 * r
+    # one group per r, the sum of the conjugate-pair parts; a row shows
+    # those parts, then the real ones, with a 0 for an empty side
+    def pairs_total(config):
+        return sum(config.complex_pair_multiplicities)
+
+    for r, configs in groupby(enumerate_configs(n), pairs_total):
         rows = []
-        for theta1 in partitions_of(r):
-            for theta2 in partitions_of(s):
-                m = Multipartition((r, s), (theta1, theta2))
-                count = count_for_config(BlockConfig(theta1, theta2))
-                rows.append((_display_composition(m), count))
-        yield r, s, rows
+        for c in configs:
+            shown = (c.complex_pair_multiplicities or (0,)) + (
+                c.real_multiplicities or (0,)
+            )
+            rows.append((shown, count_for_config(c)))
+        yield r, n - 2 * r, rows
 
 
 def cmd_table(n: int, fmt: str) -> str:

@@ -1,11 +1,13 @@
 """Attainable invariant-subspace counts for operators on R^n.
 
 A linear operator whose real Jordan form has exactly one block per
-distinct root keeps only finitely many invariant subspaces: each block
-of size k (or 2k for a conjugate-pair block) contributes a chain of
+distinct root keeps only finitely many invariant subspaces: a real root
+of multiplicity k owns one block of size k, a conjugate pair of
+multiplicity k one block of size 2k, each block contributes a chain of
 k + 1 nested subspaces, and every invariant subspace is a direct sum of
 one choice per block.  The total count is therefore a product of
-(part + 1) factors over a pair of partitions.
+(part + 1) factors over the pair of multiplicity partitions held by a
+:class:`BlockConfig`, the one type for that pair in this package.
 
 The spectrum M_n of all such products in dimension n is computed as a
 set of values, without visiting the configurations themselves.  Two
@@ -22,41 +24,44 @@ from dataclasses import dataclass
 from math import prod
 
 from .combinatorics import is_partition, partitions_of
+from .exactalg import _mul
 
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Block-size configuration of an operator with finitely many
+    """Root-multiplicity configuration of an operator with finitely many
     invariant subspaces.
 
-    ``complex_blocks`` holds one part k per conjugate-pair Jordan block
-    of size 2k; ``real_blocks`` one part k per single-eigenvalue Jordan
-    block of size k.  Each distinct block is assumed to carry its own
-    root.  Parts are canonicalized to weakly decreasing order, so block
-    order never matters.
+    ``complex_pair_multiplicities`` holds one part k per conjugate pair
+    of roots of multiplicity k, ``real_multiplicities`` one part k per
+    real root of multiplicity k.  Every root owns exactly one Jordan
+    block, so a multiplicity is that root's block size: a conjugate
+    pair of multiplicity k has a real Jordan block of size 2k.  Parts
+    are canonicalized to weakly decreasing order, so root order never
+    matters.
+
+    :func:`invsub.analyzer.jordan_signature` returns one for any matrix;
+    it describes the blocks only when the matrix is nonderogatory.
     """
 
-    complex_blocks: tuple[int, ...]
-    real_blocks: tuple[int, ...]
+    complex_pair_multiplicities: tuple[int, ...]
+    real_multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "complex_blocks", tuple(sorted(self.complex_blocks, reverse=True))
-        )
-        object.__setattr__(
-            self, "real_blocks", tuple(sorted(self.real_blocks, reverse=True))
-        )
-        if not is_partition(self.complex_blocks):
-            raise ValueError(f"invalid block sizes: {self.complex_blocks}")
-        if not is_partition(self.real_blocks):
-            raise ValueError(f"invalid block sizes: {self.real_blocks}")
+        for name in ("complex_pair_multiplicities", "real_multiplicities"):
+            parts = tuple(sorted(getattr(self, name), reverse=True))
+            if not is_partition(parts):
+                raise ValueError(f"invalid multiplicities: {parts}")
+            object.__setattr__(self, name, parts)
         if self.n < 1:
-            raise ValueError("a configuration needs at least one block")
+            raise ValueError("a configuration needs at least one root")
 
     @property
     def n(self) -> int:
         """Dimension of the underlying space."""
-        return 2 * sum(self.complex_blocks) + sum(self.real_blocks)
+        return 2 * sum(self.complex_pair_multiplicities) + sum(
+            self.real_multiplicities
+        )
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,8 @@ def count_for_config(config: BlockConfig) -> int:
     subspaces, so the count is the product of (part + 1) over all parts
     of both partitions.
     """
-    return prod(k + 1 for k in config.complex_blocks) * prod(
-        k + 1 for k in config.real_blocks
+    return prod(k + 1 for k in config.complex_pair_multiplicities) * prod(
+        k + 1 for k in config.real_multiplicities
     )
 
 
@@ -101,25 +106,18 @@ def dimension_profile(config: BlockConfig) -> tuple[int, ...]:
     """Count invariant subspaces of ``config`` by dimension.
 
     Entry d of the result is the number of invariant subspaces of
-    dimension d.  A real block of size k offers subspace dimensions
-    0..k, a conjugate-pair block with part k the even dimensions
-    0..2k; the profile is the coefficient list of the product of the
-    corresponding generating polynomials and always has length n + 1.
+    dimension d.  A real root of multiplicity k offers subspace
+    dimensions 0..k, a conjugate pair of multiplicity k the even
+    dimensions 0..2k; the profile is the coefficient list of the
+    product of the corresponding generating polynomials and always has
+    length n + 1.
     """
-    profile = (1,)
-    for k in config.real_blocks:
-        profile = _poly_mul(profile, (1,) * (k + 1))
-    for k in config.complex_blocks:
-        profile = _poly_mul(profile, tuple(1 - i % 2 for i in range(2 * k + 1)))
-    return profile
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+    profile = [1]
+    for k in config.real_multiplicities:
+        profile = _mul(profile, [1] * (k + 1))
+    for k in config.complex_pair_multiplicities:
+        profile = _mul(profile, [1 - i % 2 for i in range(2 * k + 1)])
+    return tuple(profile)
 
 
 def enumerate_configs(n: int) -> Iterator[BlockConfig]:
@@ -132,9 +130,9 @@ def enumerate_configs(n: int) -> Iterator[BlockConfig]:
     if n < 1:
         raise ValueError(f"dimension must be positive: {n}")
     for r in range(n // 2 + 1):
-        for complex_blocks in partitions_of(r):
-            for real_blocks in partitions_of(n - 2 * r):
-                yield BlockConfig(complex_blocks, real_blocks)
+        for pairs in partitions_of(r):
+            for reals in partitions_of(n - 2 * r):
+                yield BlockConfig(pairs, reals)
 
 
 def attainable_counts(n: int) -> SpectrumSet:

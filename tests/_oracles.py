@@ -5,14 +5,17 @@ Each oracle recomputes a quantity by a different route than the library
 integer Krylov elimination, flattened matrix powers instead of vector
 Krylov chains, direct enumeration instead of polynomial convolution, a
 DP table instead of the pentagonal recurrence, a recurrence over every
-dimension instead of over half-dimensions) so that agreement is
+dimension instead of over half-dimensions, nested partition loops
+instead of grouping the configuration stream) so that agreement is
 evidence, not tautology.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+from invsub.combinatorics import partitions_of
 from invsub.exactalg import RationalMatrix, RationalPolynomial
 from invsub.spectrum import BlockConfig
 
@@ -106,8 +109,10 @@ def brute_force_profile(config: BlockConfig) -> tuple[int, ...]:
     invariant subspace is a direct sum of one choice per block, so the
     profile is the histogram of total dimensions.
     """
-    choices = [range(k + 1) for k in config.real_blocks]
-    choices += [range(0, 2 * k + 1, 2) for k in config.complex_blocks]
+    choices = [range(k + 1) for k in config.real_multiplicities]
+    choices += [
+        range(0, 2 * k + 1, 2) for k in config.complex_pair_multiplicities
+    ]
     histogram = Counter(sum(dims) for dims in product(*choices))
     return tuple(histogram.get(d, 0) for d in range(config.n + 1))
 
@@ -132,6 +137,27 @@ def attainable_counts_by_dimension(max_n: int) -> list[tuple[int, ...]]:
             level.update((j + 1) * v for v in levels[k - 2 * j])
         levels.append(level)
     return [tuple(sorted(level)) for level in levels]
+
+
+def table_rows(n: int) -> list[tuple[int, int, list[tuple[tuple[int, ...], int]]]]:
+    """The ``table`` breakdown of dimension n as (r, s, rows) groups.
+
+    For r = 0..n//2 and s = n - 2r, each row pairs a partition of r
+    (conjugate-pair parts) with a partition of s (real parts), in
+    :func:`partitions_of` order, shown as the pair parts then the real
+    parts with a 0 for an empty side, next to the product of
+    (part + 1) over both.
+    """
+    groups = []
+    for r in range(n // 2 + 1):
+        s = n - 2 * r
+        rows = []
+        for pairs in partitions_of(r):
+            for reals in partitions_of(s):
+                shown = (pairs or (0,)) + (reals or (0,))
+                rows.append((shown, prod(k + 1 for k in pairs + reals)))
+        groups.append((r, s, rows))
+    return groups
 
 
 def naive_partition_count(n: int) -> int:

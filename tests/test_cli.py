@@ -7,10 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from invsub.cli import QUOTE_CHARS, SPECTRUM_MAX_N, TABLE_MAX_N, main, parse_matrix_document
+from invsub.cli import (
+    QUOTE_CHARS,
+    SPECTRUM_MAX_N,
+    TABLE_MAX_N,
+    cmd_table,
+    main,
+    parse_matrix_document,
+)
 from invsub.combinatorics import partition_count
 from invsub.exactalg import RationalMatrix
 from invsub.spectrum import attainable_counts
+
+from _oracles import table_rows
 
 ROW = re.compile(r"^  \((?P<parts>[0-9, ]+)\) -> (?P<count>\d+)$")
 
@@ -98,6 +107,28 @@ class TestTableCommand:
             ((1, 1, 1), 8),
             ((2, 0), 3),
             ((1, 1, 0), 4),
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_oracle_rows(self, n):
+        groups = table_rows(n)
+        lines = [f"n = {n}"]
+        for r, s, rows in groups:
+            lines.append(f"r = {r}, s = {s}:")
+            for shown, count in rows:
+                lines.append(f"  ({', '.join(map(str, shown))}) -> {count}")
+        assert cmd_table(n, "text") == "\n".join(lines)
+        document = json.loads(cmd_table(n, "json"))
+        assert document["result"]["groups"] == [
+            {
+                "r": r,
+                "s": s,
+                "rows": [
+                    {"composition": list(shown), "count": str(count)}
+                    for shown, count in rows
+                ],
+            }
+            for r, s, rows in groups
         ]
 
     def test_group_headers(self, capsys):
@@ -285,6 +316,22 @@ class TestAnalyzeCommand:
         assert len(err.encode()) < 200
         assert where in err and reason in err
         assert "'" + "7" * QUOTE_CHARS + "'... (" in err and " characters)" in err
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [
+            ([7] * 3000, "'[7, 7, 7, 7, "),
+            ({"a": 1}, "'{\"a\": 1}'"),
+            (True, "'true'"),
+        ],
+    )
+    def test_non_rational_json_entry_quoted_briefly(self, capsys, tmp_path, cell, shown):
+        path = self.write(tmp_path, json.dumps([[1, cell], [0, 1]]), "matrix.json")
+        status, _, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert len(err.encode()) < 200
+        assert "row 1, column 2" in err and "not an exact rational" in err
+        assert shown in err
 
     def test_short_bad_token_quoted_whole(self, capsys, tmp_path):
         token = "7" * (QUOTE_CHARS - 1) + "x"

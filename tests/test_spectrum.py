@@ -43,8 +43,8 @@ class TestBlockConfig:
         a = BlockConfig((1, 2), (3, 1, 2))
         b = BlockConfig((2, 1), (1, 2, 3))
         assert a == b
-        assert a.complex_blocks == (2, 1)
-        assert a.real_blocks == (3, 2, 1)
+        assert a.complex_pair_multiplicities == (2, 1)
+        assert a.real_multiplicities == (3, 2, 1)
 
     def test_dimension(self):
         assert BlockConfig((2,), (1, 1)).n == 6
@@ -61,8 +61,8 @@ class TestBlockConfig:
 
     @given(block_configs(), st.randoms(use_true_random=False))
     def test_count_invariant_under_shuffle(self, config, rng):
-        complex_parts = list(config.complex_blocks)
-        real_parts = list(config.real_blocks)
+        complex_parts = list(config.complex_pair_multiplicities)
+        real_parts = list(config.real_multiplicities)
         rng.shuffle(complex_parts)
         rng.shuffle(real_parts)
         shuffled = BlockConfig(tuple(complex_parts), tuple(real_parts))
@@ -87,7 +87,8 @@ class TestCountForConfig:
     @given(block_configs())
     def test_is_product_of_part_plus_one(self, config):
         expected = 1
-        for part in config.complex_blocks + config.real_blocks:
+        parts = config.complex_pair_multiplicities + config.real_multiplicities
+        for part in parts:
             expected *= part + 1
         assert count_for_config(config) == expected
 
@@ -287,9 +288,9 @@ class TestAttainableCounts:
         conjugate-pair part (a - 1) / 2; then the real 1-blocks are paired
         into units of dimension 2 and factor 4.
         """
-        complex_parts = list(config.complex_blocks)
+        complex_parts = list(config.complex_pair_multiplicities)
         real_parts = []
-        for a in config.real_blocks:
+        for a in config.real_multiplicities:
             if a % 2 and a >= 3:
                 real_parts.append(1)
                 complex_parts.append((a - 1) // 2)
@@ -298,14 +299,14 @@ class TestAttainableCounts:
         traded = BlockConfig(tuple(complex_parts), tuple(real_parts))
         assert traded.n == config.n
         assert count_for_config(traded) == count_for_config(config)
-        assert all(a == 1 or a % 2 == 0 for a in traded.real_blocks)
+        assert all(a == 1 or a % 2 == 0 for a in traded.real_multiplicities)
 
-        ones = traded.real_blocks.count(1)
+        ones = traded.real_multiplicities.count(1)
         unpaired = ones % 2
         assert unpaired == config.n % 2
         # units as (half-dimension h, factor f in F(h))
-        units = [(k, k + 1) for k in traded.complex_blocks]
-        units += [(a // 2, a + 1) for a in traded.real_blocks if a != 1]
+        units = [(k, k + 1) for k in traded.complex_pair_multiplicities]
+        units += [(a // 2, a + 1) for a in traded.real_multiplicities if a != 1]
         units += [(1, 4)] * (ones // 2)
         for h, f in units:
             assert f in ((2, 3, 4) if h == 1 else (h + 1, 2 * h + 1))
