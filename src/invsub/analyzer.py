@@ -6,8 +6,10 @@ polynomial has full degree n (one Jordan block per distinct root); two
 or more blocks sharing a root already force infinitely many invariant
 subspaces.  In the finite case the count depends only on the multiset
 of root multiplicities of the characteristic polynomial, split into
-real roots and conjugate pairs, which squarefree decomposition plus
-Sturm root counting extract exactly.
+real roots and conjugate pairs, which one signed pseudo-remainder
+sequence extracts exactly: a Sturm chain when the polynomial is
+squarefree, and otherwise the gcd that starts Yun's squarefree
+decomposition.
 """
 
 from dataclasses import dataclass
@@ -16,9 +18,8 @@ from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
     char_poly,
-    count_real_roots,
     min_poly,
-    squarefree_decompose,
+    squarefree_root_counts,
 )
 from .spectrum import BlockConfig, count_for_config, dimension_profile
 
@@ -65,16 +66,15 @@ class SubspaceCount:
 def _signature(p: RationalPolynomial) -> BlockConfig:
     """Root-multiplicity multisets of p.
 
-    Each squarefree factor g of multiplicity m contributes one entry m
-    per distinct real root of g and one entry m per conjugate pair
-    (there are (deg g - real roots) / 2 of those).
+    Each squarefree factor of multiplicity m contributes one entry m per
+    distinct real root and one entry m per conjugate pair (there are
+    (degree - real roots) / 2 of those).
     """
     real: list[int] = []
     complex_pairs: list[int] = []
-    for g, multiplicity in squarefree_decompose(p).factors:
-        real_roots = count_real_roots(g)
+    for multiplicity, degree, real_roots in squarefree_root_counts(p):
         real.extend([multiplicity] * real_roots)
-        complex_pairs.extend([multiplicity] * ((g.degree - real_roots) // 2))
+        complex_pairs.extend([multiplicity] * ((degree - real_roots) // 2))
     return BlockConfig(tuple(complex_pairs), tuple(real))
 
 

@@ -92,6 +92,8 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixInputError(f"invalid JSON matrix document: {exc}") from None
+    except RecursionError:
+        raise MatrixInputError("JSON matrix document nests too deeply") from None
     except ValueError:
         # the interpreter's int-string conversion limit
         raise MatrixInputError(

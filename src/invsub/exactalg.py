@@ -1,15 +1,17 @@
 """Exact rational polynomial and matrix algebra.
 
-The public types hold ``fractions.Fraction`` values: deciding whether a
-matrix keeps finitely many invariant subspaces hinges on exact
-eigenvalue collisions, which floating point cannot witness.  Floats are
-rejected at the boundary rather than converted.
+Deciding whether a matrix keeps finitely many invariant subspaces hinges
+on exact eigenvalue collisions, which floating point cannot witness, so
+everything here is exact and floats are rejected at the boundary rather
+than converted.  ``RationalPolynomial`` holds ``fractions.Fraction``
+coefficients.  ``RationalMatrix`` holds a matrix A as the lcm d of its
+entry denominators and the integer rows of dA; its ``entries`` are
+built as ``Fraction`` values on demand.
 
-The four public operations run on plain Python ints after one change of
-scale at the boundary.  A matrix A is multiplied by the lcm d of its
-denominators, and a polynomial of dA rescales to the one of A
-coefficient by coefficient: c_k(A) = c_k(dA) / d^(deg - k).  A
-polynomial is cleared to a primitive integer polynomial the same way.
+The operations below run on plain Python ints.  A polynomial of dA
+rescales to the one of A coefficient by coefficient:
+c_k(A) = c_k(dA) / d^(deg - k).  A rational polynomial is cleared to a
+primitive integer polynomial the same way.
 
 Krylov chains v, Av, A^2 v, ... run through one column-wise
 fraction-free (Bareiss) elimination: each vector enters as a new column,
@@ -29,10 +31,13 @@ the chain's monic integer polynomial.
   that it yields the quotient polynomial modulo their span
   (Keller-Gehrig).
 * ``squarefree_decompose``: Yun's algorithm, with gcds taken by the
-  primitive pseudo-remainder sequence and exact integer division.
-* ``count_real_roots``: a Sturm chain of primitive pseudo-remainders,
-  each scaled by a positive factor so that signs are kept, read at
-  +-infinity.
+  signed pseudo-remainder sequence and exact integer division.
+* ``count_real_roots``: the sign variations at +-infinity of the signed
+  pseudo-remainder sequence of f and f', a Sturm chain.
+* ``squarefree_root_counts``: both at once from one such sequence; Yun's
+  loop continues from its gcd only when f is not squarefree.
+
+One routine, ``_signed_prs``, runs every pseudo-remainder sequence.
 
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
@@ -224,17 +229,23 @@ class RationalPolynomial:
 
 
 class RationalMatrix:
-    """Square matrix of exact rationals.
+    """Square matrix of exact rationals, stored as integers.
 
-    Rows are stored as a tuple of tuples of ``Fraction``; instances are
-    immutable.  Entries given as ints or strings like ``"3/4"`` are
-    coerced, floats are rejected.
+    A matrix A is kept as its ``denominator`` d, the lcm of the reduced
+    denominators of its entries, and ``integer_rows``, the rows of the
+    integer matrix dA.  This form is canonical, so equality and hashing
+    compare it directly; ``entries`` builds the ``Fraction`` rows on
+    demand.  Instances are immutable.  Entries given as ints are taken
+    as they are, strings like ``"3/4"`` and other rationals are coerced,
+    floats are rejected.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("denominator", "integer_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        entries = tuple(tuple(_to_fraction(x) for x in row) for row in rows)
+        entries = [
+            [x if type(x) is int else _to_fraction(x) for x in row] for row in rows
+        ]
         if not entries:
             raise ValueError("matrix must have at least one row")
         n = len(entries)
@@ -243,20 +254,33 @@ class RationalMatrix:
                 raise ValueError(
                     f"row {i + 1} has {len(row)} entries, expected {n}"
                 )
-        object.__setattr__(self, "entries", entries)
+        d = lcm(*(x.denominator for row in entries for x in row))
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(
+            self,
+            "integer_rows",
+            tuple(
+                tuple(x.numerator * (d // x.denominator) for x in row)
+                for row in entries
+            ),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as ``Fraction`` values."""
+        d = self.denominator
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.integer_rows)
+
+    @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.integer_rows)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
+        return cls(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["RationalMatrix"]) -> "RationalMatrix":
@@ -264,7 +288,7 @@ class RationalMatrix:
         if not blocks:
             raise ValueError("need at least one block")
         n = sum(b.n for b in blocks)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         offset = 0
         for block in blocks:
             for i, row in enumerate(block.entries):
@@ -275,45 +299,67 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (
+            self.denominator == other.denominator
+            and self.integer_rows == other.integer_rows
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.denominator, self.integer_rows))
+
+    @classmethod
+    def _from_integers(cls, d: int, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
+        """The matrix with integer rows ``rows`` divided by d > 0, brought
+        to lowest terms."""
+        rows = [list(row) for row in rows]
+        g = gcd(d, *(x for row in rows for x in row))
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "denominator", d // g)
+        object.__setattr__(
+            matrix, "integer_rows", tuple(tuple(x // g for x in row) for row in rows)
+        )
+        return matrix
 
     def __add__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
-        return RationalMatrix(
-            tuple(x + y for x, y in zip(r, s))
-            for r, s in zip(self.entries, other.entries)
+        d = lcm(self.denominator, other.denominator)
+        s, t = d // self.denominator, d // other.denominator
+        return RationalMatrix._from_integers(
+            d,
+            (
+                [s * x + t * y for x, y in zip(r, q)]
+                for r, q in zip(self.integer_rows, other.integer_rows)
+            ),
         )
 
     def __sub__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
-        return RationalMatrix(
-            tuple(x - y for x, y in zip(r, s))
-            for r, s in zip(self.entries, other.entries)
-        )
+        return self + other.scaled(-1)
 
     def __mul__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
-        cols = tuple(zip(*other.entries))
-        return RationalMatrix(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-            for row in self.entries
+        cols = tuple(zip(*other.integer_rows))
+        return RationalMatrix._from_integers(
+            self.denominator * other.denominator,
+            ([sum(map(mul, row, col)) for col in cols] for row in self.integer_rows),
         )
 
     def scaled(self, factor) -> "RationalMatrix":
         c = _to_fraction(factor)
-        return RationalMatrix(tuple(c * x for x in row) for row in self.entries)
+        return RationalMatrix._from_integers(
+            self.denominator * c.denominator,
+            ([c.numerator * x for x in row] for row in self.integer_rows),
+        )
 
     def trace(self) -> Fraction:
-        return sum(row[i] for i, row in enumerate(self.entries))
+        diagonal = (row[i] for i, row in enumerate(self.integer_rows))
+        return Fraction(sum(diagonal), self.denominator)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.integer_rows))
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination.
@@ -438,22 +484,70 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     return _strip(quotient)
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with a positive leading coefficient, by the
-    primitive pseudo-remainder sequence; zero if both inputs are zero."""
-    a, b = _primitive(a), _primitive(b)
+def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """The signed primitive pseudo-remainder sequence a, b, r_2, r_3, ...
+
+    Each r_(i+1) is the primitive part of the pseudo-remainder of
+    r_(i-1) by r_i, negated: a negative multiple of the true remainder.
+    The sequence ends before the first zero remainder, so its last
+    element is a multiple of gcd(a, b).  From a squarefree f and f' it
+    is a Sturm chain of f.
+    """
+    sequence = [a]
     while b:
-        a, b = b, _primitive(_prem(a, b))
-    return [-c for c in a] if a and a[-1] < 0 else a
+        sequence.append(b)
+        a, b = b, [-c for c in _primitive(_prem(a, b))]
+    return sequence
+
+
+def _normalized(p: list[int]) -> list[int]:
+    """The primitive part of p with a positive leading coefficient."""
+    p = _primitive(p)
+    return [-c for c in p] if p and p[-1] < 0 else p
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the signed
+    pseudo-remainder sequence; zero if both inputs are zero."""
+    return _normalized(_signed_prs(_primitive(a), _primitive(b))[-1])
+
+
+def _real_root_count(sturm: list[list[int]]) -> int:
+    """Distinct real roots of the first element of a Sturm chain: the
+    drop in sign variations from -infinity to +infinity.  The sign of a
+    polynomial at +-infinity is read off its leading coefficient and
+    degree parity, so no root bounds are needed."""
+
+    def variations(signs: list[int]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_pos = [1 if q[-1] > 0 else -1 for q in sturm]
+    at_neg = [s if len(q) % 2 else -s for s, q in zip(at_pos, sturm)]
+    return variations(at_neg) - variations(at_pos)
+
+
+def _yun(f: list[int], df: list[int], g: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree factors of f, given f' and g = gcd(f, f').
+
+    Returns (factor, multiplicity) pairs with primitive factors of
+    positive leading coefficient and strictly increasing
+    multiplicities; every gcd is primitive and every division exact.
+    """
+    b = _divexact(f, g)
+    d = _sub(_divexact(df, g), _derivative(b))
+    factors = []
+    multiplicity = 1
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, multiplicity))
+        b = _divexact(b, a)
+        d = _sub(_divexact(d, a), _derivative(b))
+        multiplicity += 1
+    return factors
 
 
 # ---- Krylov elimination ----------------------------------------------------
-
-
-def _integer_matrix(a: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(d, dA) with d the lcm of the entry denominators of A."""
-    d = lcm(*(x.denominator for row in a.entries for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a.entries]
 
 
 def _rescaled(q: list[int], d: int) -> RationalPolynomial:
@@ -568,7 +662,7 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
     polynomials (Keller-Gehrig).
     """
     n = a.n
-    d, b = _integer_matrix(a)
+    d, b = a.denominator, a.integer_rows
     poly = [1]
     basis = _Basis(n)
     for v in _start_vectors(n):
@@ -589,7 +683,7 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     space.
     """
     n = a.n
-    d, b = _integer_matrix(a)
+    d, b = a.denominator, a.integer_rows
     mu = [1]
     span = _Basis(n)
     for v in _start_vectors(n):
@@ -640,47 +734,48 @@ def squarefree_decompose(p: RationalPolynomial) -> SquarefreeDecomposition:
         raise ValueError("squarefree decomposition needs degree >= 1")
     f = _integer_poly(p)
     df = _derivative(f)
-    g = _gcd(f, df)
-    b = _divexact(f, g)
-    d = _sub(_divexact(df, g), _derivative(b))
-    factors = []
-    multiplicity = 1
-    while len(b) > 1:
-        a = _gcd(b, d)
-        if len(a) > 1:
-            factors.append((_monic(a), multiplicity))
-        b = _divexact(b, a)
-        d = _sub(_divexact(d, a), _derivative(b))
-        multiplicity += 1
-    return SquarefreeDecomposition(p.leading_coefficient(), tuple(factors))
+    factors = _yun(f, df, _gcd(f, df))
+    return SquarefreeDecomposition(
+        p.leading_coefficient(), tuple((_monic(a), m) for a, m in factors)
+    )
 
 
 def count_real_roots(p: RationalPolynomial) -> int:
     """Number of distinct real roots of a squarefree polynomial.
 
-    Builds the Sturm chain p, p', -rem(...), ... from primitive integer
-    pseudo-remainders, each a positive multiple of the true remainder,
-    and returns the drop in sign variations from -infinity to +infinity,
-    where the sign of a polynomial at +-infinity is read off its leading
-    coefficient and degree parity (no root bounds needed).  The last
-    chain element is gcd(p, p'), so a nonconstant one rejects input that
-    is not squarefree.
+    Reads the sign variations of the signed pseudo-remainder sequence of
+    the primitive integer multiple f of p and f', which is a Sturm
+    chain of f.  The last chain element is gcd(f, f'), so a nonconstant
+    one rejects input that is not squarefree.
     """
     if p.degree < 1:
         raise ValueError("real-root counting needs a nonconstant polynomial")
     f = _integer_poly(p)
-    chain = [f, _derivative(f)]
-    while True:
-        remainder = _primitive(_prem(chain[-2], chain[-1]))
-        if not remainder:
-            break
-        chain.append([-c for c in remainder])
-    if len(chain[-1]) > 1:
+    sturm = _signed_prs(f, _derivative(f))
+    if len(sturm[-1]) > 1:
         raise ValueError("polynomial is not squarefree; decompose it first")
+    return _real_root_count(sturm)
 
-    def variations(signs: list[int]) -> int:
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    at_pos = [1 if q[-1] > 0 else -1 for q in chain]
-    at_neg = [s if len(q) % 2 else -s for s, q in zip(at_pos, chain)]
-    return variations(at_neg) - variations(at_pos)
+def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int], ...]:
+    """(multiplicity, degree, distinct real roots) of each squarefree
+    factor of p, by increasing multiplicity.
+
+    One signed pseudo-remainder sequence of f and f', f the primitive
+    integer multiple of p, answers both questions when it ends in a
+    constant: f is squarefree and the sequence is its Sturm chain.
+    Otherwise its last element is gcd(f, f'), from which Yun's loop
+    continues, and each factor gets a Sturm chain of its own.  Rejects
+    constant and zero polynomials.
+    """
+    if p.degree < 1:
+        raise ValueError("root counting needs a nonconstant polynomial")
+    f = _integer_poly(p)
+    df = _derivative(f)
+    sequence = _signed_prs(f, df)
+    if len(sequence[-1]) == 1:
+        return ((1, p.degree, _real_root_count(sequence)),)
+    return tuple(
+        (m, len(g) - 1, _real_root_count(_signed_prs(g, _derivative(g))))
+        for g, m in _yun(f, df, _normalized(sequence[-1]))
+    )

@@ -25,13 +25,9 @@ def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
 
     Exponential in n; keep n <= 5.
     """
-    n = a.n
     x = RationalPolynomial.x()
-    cells = [
-        [RationalPolynomial((-a.entries[i][j],)) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
+    cells = [[RationalPolynomial((-entry,)) for entry in row] for row in a.entries]
+    for i in range(a.n):
         cells[i][i] = cells[i][i] + x
     return _poly_det(cells)
 

@@ -153,6 +153,35 @@ class TestJordanSignatureOfMatrix:
         assert sig.real_multiplicities == (3,)
         assert sig.complex_pair_multiplicities == ()
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-5, 5), min_size=1, max_size=2),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60)
+    def test_matches_yun_then_sturm(self, pieces):
+        # companion matrix of prod g_i^(m_i), g_i monic and made squarefree
+        p = RationalPolynomial.one()
+        for low, multiplicity in pieces:
+            g = RationalPolynomial(low + [1])
+            p = p * (g // g.gcd(g.derivative())) ** multiplicity
+        if p.degree < 1:
+            return
+        real, pairs = [], []
+        for g, m in squarefree_decompose(p).factors:
+            roots = count_real_roots(g)
+            real += [m] * roots
+            pairs += [m] * ((g.degree - roots) // 2)
+        expected = BlockConfig(tuple(pairs), tuple(real))
+        a = companion_matrix(p)
+        assert jordan_signature(a) == expected
+        assert count_invariant_subspaces(a).signature == expected
+
 
 class TestIsCountFinite:
     def test_identity_is_derogatory(self):
@@ -306,7 +335,6 @@ class TestMetamorphic:
     def test_permutation_similarity(self, a, rng):
         order = list(range(a.n))
         rng.shuffle(order)
-        permuted = RationalMatrix(
-            [[a.entries[i][j] for j in order] for i in order]
-        )
+        entries = a.entries
+        permuted = RationalMatrix([[entries[i][j] for j in order] for i in order])
         assert analysis(permuted) == analysis(a)

@@ -333,6 +333,14 @@ class TestAnalyzeCommand:
         assert "row 1, column 2" in err and "not an exact rational" in err
         assert shown in err
 
+    def test_deeply_nested_json_is_one_line_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, "[" * 100_000, "matrix.json")
+        status, out, err = run(capsys, "analyze", path)
+        assert status == 1
+        assert out == ""
+        assert err == "error: JSON matrix document nests too deeply\n"
+        assert len(err.encode()) < 200
+
     def test_short_bad_token_quoted_whole(self, capsys, tmp_path):
         token = "7" * (QUOTE_CHARS - 1) + "x"
         path = self.write(tmp_path, f"1 0\n0 {token}\n")

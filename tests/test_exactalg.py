@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from invsub.exactalg import (
     evaluate_at_matrix,
     min_poly,
     squarefree_decompose,
+    squarefree_root_counts,
 )
 
 from invsub.analyzer import real_jordan_block, realize_config, standard_jordan_block
@@ -158,6 +160,101 @@ class TestRationalMatrix:
         if a.n != b.n:
             return
         assert (a + b).trace() == a.trace() + b.trace()
+
+
+class TestRationalMatrixStorage:
+    """A matrix is stored as its denominator d, the lcm of the reduced
+    entry denominators, and the integer rows of dA."""
+
+    def test_equal_rationals_store_and_hash_alike(self):
+        forms = [
+            RationalMatrix([["1/2"]]),
+            RationalMatrix([["2/4"]]),
+            RationalMatrix([[Fraction(1, 2)]]),
+            RationalMatrix([[Fraction(3, 6)]]),
+        ]
+        for m in forms:
+            assert (m.denominator, m.integer_rows) == (2, ((1,),))
+            assert m == forms[0]
+            assert hash(m) == hash(forms[0])
+        assert RationalMatrix([["1/2"]]) != RationalMatrix([["1/3"]])
+        assert RationalMatrix([[1, 0], [0, 1]]) != RationalMatrix([[1, 0], [0, 2]])
+
+    def test_denominator_is_lcm_of_reduced_denominators(self):
+        m = RationalMatrix([[Fraction(1, 6), "3/4"], [2, Fraction(10, 4)]])
+        assert m.denominator == 12
+        assert m.integer_rows == ((2, 9), (24, 30))
+
+    def test_integer_entries_keep_denominator_one(self):
+        m = RationalMatrix([[3, -1], [0, Fraction(8, 4)]])
+        assert m.denominator == 1
+        assert m.integer_rows == ((3, -1), (0, 2))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
+
+    def test_negative_denominators_normalize(self):
+        m = RationalMatrix([[Fraction(3, -4), Fraction(-1, -2)], ["-5/4", 0]])
+        assert m.denominator == 4
+        assert m.integer_rows == ((-3, 2), (-5, 0))
+        assert m == RationalMatrix([["-3/4", "1/2"], [Fraction(-5, 4), 0]])
+
+    def test_entries_are_fractions(self):
+        m = RationalMatrix([[1, "2/3"], [Fraction(-5, 2), True]])
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m.entries == (
+            (Fraction(1), Fraction(2, 3)),
+            (Fraction(-5, 2), Fraction(1)),
+        )
+
+    @given(square_matrices())
+    def test_round_trips_through_entries(self, a):
+        assert RationalMatrix(a.entries) == a
+        assert gcd(a.denominator, *(x for row in a.integer_rows for x in row)) == 1
+
+    @pytest.mark.parametrize("name", ["denominator", "integer_rows", "entries", "other"])
+    def test_immutable(self, name):
+        m = RationalMatrix([[1, "1/2"], [0, 1]])
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1)
+        assert m == RationalMatrix([[1, Fraction(1, 2)], [0, 1]])
+
+    def test_inverse_evaluate_and_repr_on_mixed_entries(self):
+        m = RationalMatrix([[1, Fraction(1, 2), 0], ["-2/3", 3, Fraction(5, 4)], [0, -1, "7/6"]])
+        assert repr(m) == "RationalMatrix([[1, 1/2, 0], [-2/3, 3, 5/4], [0, -1, 7/6]])"
+        assert repr(m.inverse()) == (
+            "RationalMatrix([[171/185, -21/185, 9/74], "
+            "[28/185, 42/185, -9/37], [24/185, 36/185, 24/37]])"
+        )
+        assert repr(evaluate_at_matrix(poly(3, Fraction(-1, 2), 1), m)) == (
+            "RationalMatrix([[19/6, 7/4, 5/8], [-7/3, 107/12, 55/12], "
+            "[2/3, -11/3, 91/36]])"
+        )
+        assert m * m.inverse() == RationalMatrix.identity(3)
+        assert repr(RationalMatrix([[2, 0], [0, 1]]).inverse()) == (
+            "RationalMatrix([[1/2, 0], [0, 1]])"
+        )
+
+    @given(square_matrices(max_n=3), square_matrices(max_n=3), rationals)
+    def test_arithmetic_matches_entrywise_fractions(self, a, b, c):
+        if a.n != b.n:
+            return
+        ea, eb = a.entries, b.entries
+        assert (a + b).entries == tuple(
+            tuple(x + y for x, y in zip(r, s)) for r, s in zip(ea, eb)
+        )
+        assert (a - b).entries == tuple(
+            tuple(x - y for x, y in zip(r, s)) for r, s in zip(ea, eb)
+        )
+        assert (a * b).entries == tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*eb)) for row in ea
+        )
+        assert a.scaled(c).entries == tuple(tuple(c * x for x in row) for row in ea)
+        assert a.trace() == sum(row[i] for i, row in enumerate(ea))
+        assert a.is_zero() == all(x == 0 for row in ea for x in row)
+        # results are stored in lowest terms, as if built from their entries
+        for result in (a + b, a - b, a * b, a.scaled(c)):
+            built = RationalMatrix(result.entries)
+            assert result.denominator == built.denominator
+            assert result.integer_rows == built.integer_rows
 
 
 class TestCharPoly:
@@ -450,6 +547,111 @@ class TestCountRealRoots:
         roots = count_real_roots(squarefree)
         assert 0 <= roots <= squarefree.degree
         assert roots % 2 == squarefree.degree % 2
+
+
+integer_polynomials = (
+    st.lists(st.integers(-6, 6), min_size=2, max_size=4)
+    .map(RationalPolynomial)
+    .filter(lambda g: g.degree >= 1)
+)
+
+
+@st.composite
+def factored_products(draw) -> RationalPolynomial:
+    """prod g_i^(m_i) over random squarefree integer factors g_i."""
+    p = RationalPolynomial.one()
+    for g, multiplicity in draw(
+        st.lists(st.tuples(integer_polynomials, st.integers(1, 3)), min_size=1, max_size=4)
+    ):
+        p = p * (g // g.gcd(g.derivative())) ** multiplicity
+    return p
+
+
+def composed_root_counts(p: RationalPolynomial) -> tuple:
+    """squarefree_root_counts through the public squarefree_decompose
+    and count_real_roots, one Sturm chain per factor."""
+    return tuple(
+        (m, g.degree, count_real_roots(g)) for g, m in squarefree_decompose(p).factors
+    )
+
+
+def substitute(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
+    """p(q(x)) by Horner's rule."""
+    out = RationalPolynomial.zero()
+    for c in reversed(p.coefficients):
+        out = out * q + RationalPolynomial((c,))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestSquarefreeRootCounts:
+    """The one signed pseudo-remainder sequence of f and f' against Yun
+    and Sturm run one after the other, against sympy, and under
+    substitutions that keep root multiplicities and real roots."""
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (poly(-2, 1), ((1, 1, 1),)),
+            (poly(1, 0, 1), ((1, 2, 0),)),
+            (poly(-2, 0, 1) * poly(1, 0, 1) * poly(5, 1), ((1, 5, 3),)),
+            (poly(-1, 1) ** 2, ((2, 1, 1),)),
+            (
+                poly(-1, 1) ** 2 * poly(1, 0, 1) ** 3 * poly(-2, 1) * poly(5, 1),
+                ((1, 2, 2), (2, 1, 1), (3, 2, 0)),
+            ),
+            (poly(1, 0, 1) ** 2 * poly(-3, 0, 1) ** 2, ((2, 4, 2),)),
+            (poly(0, 0, 0, 7), ((3, 1, 1),)),
+        ],
+    )
+    def test_goldens(self, p, expected):
+        assert squarefree_root_counts(p) == expected
+        assert composed_root_counts(p) == expected
+
+    def test_rejects_constants(self):
+        with pytest.raises(ValueError):
+            squarefree_root_counts(RationalPolynomial.one())
+        with pytest.raises(ValueError):
+            squarefree_root_counts(RationalPolynomial.zero())
+
+    @given(factored_products())
+    @settings(max_examples=150)
+    def test_matches_yun_then_sturm(self, p):
+        if p.degree < 1:
+            return
+        counts = squarefree_root_counts(p)
+        assert counts == composed_root_counts(p)
+        assert sum(m * degree for m, degree, _ in counts) == p.degree
+
+    @given(factored_products())
+    @settings(max_examples=60)
+    def test_matches_sympy(self, sympy, p):
+        if p.degree < 1:
+            return
+        x = sympy.Symbol("x")
+        f = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients)],
+            x,
+            domain="QQ",
+        )
+        _, factors = f.sqf_list()
+        expected = sorted((m, g.degree(), g.count_roots()) for g, m in factors)
+        assert list(squarefree_root_counts(p)) == expected
+
+    @given(factored_products(), rationals, st.fractions(min_value=Fraction(1, 7), max_value=9))
+    @settings(max_examples=80)
+    def test_invariant_under_reflection_shift_and_scaling(self, p, c, k):
+        if p.degree < 1:
+            return
+        counts = squarefree_root_counts(p)
+        assert squarefree_root_counts(substitute(p, poly(0, -1))) == counts
+        assert squarefree_root_counts(substitute(p, poly(c, 1))) == counts
+        assert squarefree_root_counts(p * k) == counts
+        assert squarefree_root_counts(p * -k) == counts
 
 
 class TestSimilarityOfPolynomials:
