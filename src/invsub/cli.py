@@ -10,6 +10,7 @@ cross-validation).  Exit status contract: 0 success, 1 data error
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -72,7 +73,7 @@ def _parse_token(token: str, row: int, col: int) -> int | Fraction:
         ) from None
 
 
-def _parse_text_matrix(text: str) -> RationalMatrix:
+def _parse_text_rows(text: str) -> list[list[int | Fraction]]:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -84,10 +85,10 @@ def _parse_text_matrix(text: str) -> RationalMatrix:
                 for col, tok in enumerate(tokens, start=1)
             ]
         )
-    return _build_matrix(rows)
+    return rows
 
 
-def _parse_json_matrix(text: str) -> RationalMatrix:
+def _parse_json_rows(text: str) -> list[list[int | Fraction]]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,19 +121,7 @@ def _parse_json_matrix(text: str) -> RationalMatrix:
                     "is not an exact rational"
                 )
         rows.append(parsed)
-    return _build_matrix(rows)
-
-
-def _build_matrix(rows: list[list[int | Fraction]]) -> RationalMatrix:
-    if not rows:
-        raise MatrixInputError("matrix document contains no rows")
-    n = len(rows)
-    for i, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise MatrixInputError(
-                f"matrix is not square: {n} rows but row {i} has {len(row)} entries"
-            )
-    return RationalMatrix(rows)
+    return rows
 
 
 def parse_matrix_document(text: str) -> RationalMatrix:
@@ -140,8 +129,14 @@ def parse_matrix_document(text: str) -> RationalMatrix:
     p/q tokens, or the JSON alternative (a list of rows, entries being
     ints or token strings)."""
     if text.lstrip()[:1] in ("[", "{"):
-        return _parse_json_matrix(text)
-    return _parse_text_matrix(text)
+        rows = _parse_json_rows(text)
+    else:
+        rows = _parse_text_rows(text)
+    try:
+        return RationalMatrix(rows)
+    except ValueError as exc:
+        # no rows, or a row of the wrong length
+        raise MatrixInputError(str(exc)) from None
 
 
 def _digest(payload: bytes) -> str:
@@ -221,7 +216,7 @@ def cmd_analyze(path: str, fmt: str) -> str:
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except OSError as exc:
         raise MatrixInputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -324,14 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
-        if with_format:
-            p.add_argument(
-                "--format",
-                choices=("text", "json"),
-                default="text",
-                help="output format (default: text)",
-            )
+    def add_common(p):
+        p.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output format (default: text)",
+        )
         p.add_argument(
             "--output",
             metavar="PATH",
@@ -382,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        print(text)
+        # flushed here, so that a closed pipe raises inside main
+        print(text, flush=True)
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -410,10 +405,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text, status = cmd_selfcheck(args.max_n, args.format)
         _emit(text, args.output)
-    except MatrixInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and let the flush at exit
+        # write what is still buffered to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except OSError as exc:
+    except (MatrixInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return status

@@ -13,31 +13,30 @@ rescales to the one of A coefficient by coefficient:
 c_k(A) = c_k(dA) / d^(deg - k).  A rational polynomial is cleared to a
 primitive integer polynomial the same way.
 
-Krylov chains v, Av, A^2 v, ... run through one column-wise
-fraction-free (Bareiss) elimination: each vector enters as a new column,
-passes through the earlier elimination steps and becomes a step of its
-own while it is independent.  Back substitution through the fixed
-entries of the chain's columns turns the first dependent vector into
-the chain's monic integer polynomial.
+Each operation has one implementation:
 
-* ``min_poly``: the lcm of the minimal polynomials of the start vectors
-  (1, 2, ..., n), e_1, ..., e_n, each from the Krylov chain of the
-  vector on its own.  A vector inside the span of the earlier Krylov
-  spaces is skipped (that span is A-invariant, so its minimal
-  polynomial already divides the lcm), and the search stops as soon as
-  the degree reaches n.
-* ``char_poly``: the product of the polynomials of successive Krylov
-  chains, each chain continuing the elimination of the earlier ones, so
-  that it yields the quotient polynomial modulo their span
-  (Keller-Gehrig).
-* ``squarefree_decompose``: Yun's algorithm, with gcds taken by the
-  signed pseudo-remainder sequence and exact integer division.
-* ``count_real_roots``: the sign variations at +-infinity of the signed
-  pseudo-remainder sequence of f and f', a Sturm chain.
-* ``squarefree_root_counts``: both at once from one such sequence; Yun's
-  loop continues from its gcd only when f is not squarefree.
-
-One routine, ``_signed_prs``, runs every pseudo-remainder sequence.
+* Krylov chains v, Av, A^2 v, ... run through one column-wise
+  fraction-free (Bareiss) elimination: each vector enters as a new
+  column, passes through the earlier elimination steps and becomes a
+  step of its own while it is independent.  Back substitution through
+  the fixed entries of the chain's columns turns the first dependent
+  vector into the chain's monic integer polynomial.
+* One loop, ``_chains``, runs the chains of the start vectors
+  (1, 2, ..., n), e_1, ..., e_n, each modulo the span of the earlier
+  ones; it skips a vector inside that span and stops when the span is
+  full.  ``char_poly`` is the product of their polynomials
+  (Keller-Gehrig).  ``min_poly`` is the lcm of the minimal polynomials
+  of those vectors, re-running a chain on its own after the first, and
+  stops once the degree reaches n.
+* ``RationalMatrix.inverse`` has no elimination of its own: writing
+  det(xI - A) = x q(x) + c, Cayley-Hamilton gives A^-1 = -q(A) / c.
+* One core, ``_squarefree``, runs the signed pseudo-remainder sequence
+  of f and f'.  Ending in a constant, it is the Sturm chain of f, whose
+  sign variations at +-infinity count the real roots; otherwise Yun's
+  loop continues from its last element, gcd(f, f').
+  ``squarefree_decompose``, ``count_real_roots`` and
+  ``squarefree_root_counts`` are views of it.  ``_signed_prs`` runs
+  every pseudo-remainder sequence.
 
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
@@ -45,11 +44,11 @@ the characteristic polynomial, and the first dependence among flattened
 matrix powers for the minimal polynomial.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 
 def _to_fraction(value) -> Fraction:
@@ -200,7 +199,7 @@ class RationalPolynomial:
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Monic greatest common divisor (zero if both inputs are zero)."""
         g = _gcd(_integer_poly(self), _integer_poly(other))
-        return _monic(g) if g else RationalPolynomial.zero()
+        return _rescaled(g, 1) if g else RationalPolynomial.zero()
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self})"
@@ -247,12 +246,13 @@ class RationalMatrix:
             [x if type(x) is int else _to_fraction(x) for x in row] for row in rows
         ]
         if not entries:
-            raise ValueError("matrix must have at least one row")
+            raise ValueError("matrix document contains no rows")
         n = len(entries)
         for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError(
-                    f"row {i + 1} has {len(row)} entries, expected {n}"
+                    f"matrix is not square: row {i + 1} has {len(row)} entries, "
+                    f"expected {n}"
                 )
         d = lcm(*(x.denominator for row in entries for x in row))
         object.__setattr__(self, "denominator", d)
@@ -307,30 +307,11 @@ class RationalMatrix:
     def __hash__(self) -> int:
         return hash((self.denominator, self.integer_rows))
 
-    @classmethod
-    def _from_integers(cls, d: int, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
-        """The matrix with integer rows ``rows`` divided by d > 0, brought
-        to lowest terms."""
-        rows = [list(row) for row in rows]
-        g = gcd(d, *(x for row in rows for x in row))
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "denominator", d // g)
-        object.__setattr__(
-            matrix, "integer_rows", tuple(tuple(x // g for x in row) for row in rows)
-        )
-        return matrix
-
     def __add__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
-        d = lcm(self.denominator, other.denominator)
-        s, t = d // self.denominator, d // other.denominator
-        return RationalMatrix._from_integers(
-            d,
-            (
-                [s * x + t * y for x, y in zip(r, q)]
-                for r, q in zip(self.integer_rows, other.integer_rows)
-            ),
+        return RationalMatrix(
+            map(add, r, q) for r, q in zip(self.entries, other.entries)
         )
 
     def __sub__(self, other) -> "RationalMatrix":
@@ -341,18 +322,16 @@ class RationalMatrix:
     def __mul__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
+        d = self.denominator * other.denominator
         cols = tuple(zip(*other.integer_rows))
-        return RationalMatrix._from_integers(
-            self.denominator * other.denominator,
-            ([sum(map(mul, row, col)) for col in cols] for row in self.integer_rows),
+        return RationalMatrix(
+            [Fraction(sum(map(mul, row, col)), d) for col in cols]
+            for row in self.integer_rows
         )
 
     def scaled(self, factor) -> "RationalMatrix":
         c = _to_fraction(factor)
-        return RationalMatrix._from_integers(
-            self.denominator * c.denominator,
-            ([c.numerator * x for x in row] for row in self.integer_rows),
-        )
+        return RationalMatrix([x * c for x in row] for row in self.entries)
 
     def trace(self) -> Fraction:
         diagonal = (row[i] for i, row in enumerate(self.integer_rows))
@@ -362,27 +341,18 @@ class RationalMatrix:
         return not any(map(any, self.integer_rows))
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination.
+        """Exact inverse by Cayley-Hamilton.
 
+        Write det(xI - A) = x q(x) + c.  Then A q(A) = -cI, so A is
+        singular exactly when c = 0 and otherwise A^-1 = -q(A) / c.
         Raises ValueError on a singular matrix.
         """
-        n = self.n
-        aug = [
-            list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.entries)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    c = aug[r][col]
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-        return RationalMatrix(tuple(row[n:]) for row in aug)
+        p = char_poly(self)
+        c = p.coefficients[0]
+        if c == 0:
+            raise ValueError("matrix is singular")
+        q = RationalPolynomial(p.coefficients[1:])
+        return evaluate_at_matrix(q, self).scaled(-1 / c)
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -421,10 +391,6 @@ def _integer_poly(p: RationalPolynomial) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of p."""
     d = lcm(*(c.denominator for c in p.coefficients))
     return _primitive([c.numerator * (d // c.denominator) for c in p.coefficients])
-
-
-def _monic(p: list[int]) -> RationalPolynomial:
-    return RationalPolynomial(Fraction(c, p[-1]) for c in p)
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -653,6 +619,24 @@ def _start_vectors(n: int) -> list[list[int]]:
     return [list(range(1, n + 1))] + units
 
 
+def _chains(a: RationalMatrix) -> Iterator[tuple[list[int], list[int]]]:
+    """Krylov chains of the start vectors, each modulo the earlier ones.
+
+    Yields (v, q) for each start vector v outside the span of the
+    earlier chains, q being its polynomial modulo that span, and stops
+    once the span is the whole space.
+    """
+    n = a.n
+    basis = _Basis(n)
+    for v in _start_vectors(n):
+        before = len(basis.columns)
+        q = _krylov(a.integer_rows, v, basis)
+        if len(basis.columns) > before:
+            yield v, q
+        if len(basis.columns) == n:
+            return
+
+
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - A), monic of degree n.
 
@@ -661,15 +645,10 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
     the characteristic polynomial is the product of the chains' quotient
     polynomials (Keller-Gehrig).
     """
-    n = a.n
-    d, b = a.denominator, a.integer_rows
     poly = [1]
-    basis = _Basis(n)
-    for v in _start_vectors(n):
-        if len(basis.columns) == n:
-            break
-        poly = _mul(poly, _krylov(b, v, basis))
-    return _rescaled(poly, d)
+    for _, q in _chains(a):
+        poly = _mul(poly, q)
+    return _rescaled(poly, a.denominator)
 
 
 def min_poly(a: RationalMatrix) -> RationalPolynomial:
@@ -682,22 +661,15 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     that A is nonderogatory, or once the Krylov spaces fill the whole
     space.
     """
-    n = a.n
-    d, b = a.denominator, a.integer_rows
     mu = [1]
-    span = _Basis(n)
-    for v in _start_vectors(n):
-        before = len(span.columns)
-        q = _krylov(b, v, span)
-        if len(span.columns) == before:
-            continue
-        if before:
-            # q is only the part of v's minimal polynomial outside span
-            q = _krylov(b, v, _Basis(n))
+    for i, (v, q) in enumerate(_chains(a)):
+        if i:
+            # q is only the part of v's minimal polynomial outside the span
+            q = _krylov(a.integer_rows, v, _Basis(a.n))
         mu = _mul(mu, _divexact(q, _gcd(mu, q)))
-        if len(mu) > n or len(span.columns) == n:
+        if len(mu) > a.n:
             break
-    return _rescaled(mu, d)
+    return _rescaled(mu, a.denominator)
 
 
 @dataclass(frozen=True)
@@ -723,6 +695,22 @@ class SquarefreeDecomposition:
         return result
 
 
+def _squarefree(p: RationalPolynomial) -> tuple[list[list[int]], list]:
+    """(sequence, factors) of the primitive integer multiple f of p: the
+    signed pseudo-remainder sequence of f and f', a Sturm chain when it
+    ends in a constant, and Yun's (factor, multiplicity) pairs of f,
+    [(f, 1)] in that case.  Rejects constant and zero polynomials.
+    """
+    if p.degree < 1:
+        raise ValueError(f"needs a nonconstant polynomial, got {p}")
+    f = _integer_poly(p)
+    df = _derivative(f)
+    sequence = _signed_prs(f, df)
+    if len(sequence[-1]) == 1:
+        return sequence, [(f, 1)]
+    return sequence, _yun(f, df, _normalized(sequence[-1]))
+
+
 def squarefree_decompose(p: RationalPolynomial) -> SquarefreeDecomposition:
     """Squarefree decomposition by Yun's algorithm.
 
@@ -730,28 +718,17 @@ def squarefree_decompose(p: RationalPolynomial) -> SquarefreeDecomposition:
     and every division exact.  Multiplicities come out strictly
     increasing.  Rejects constant and zero polynomials.
     """
-    if p.degree < 1:
-        raise ValueError("squarefree decomposition needs degree >= 1")
-    f = _integer_poly(p)
-    df = _derivative(f)
-    factors = _yun(f, df, _gcd(f, df))
+    _, factors = _squarefree(p)
     return SquarefreeDecomposition(
-        p.leading_coefficient(), tuple((_monic(a), m) for a, m in factors)
+        p.leading_coefficient(), tuple((_rescaled(g, 1), m) for g, m in factors)
     )
 
 
 def count_real_roots(p: RationalPolynomial) -> int:
-    """Number of distinct real roots of a squarefree polynomial.
-
-    Reads the sign variations of the signed pseudo-remainder sequence of
-    the primitive integer multiple f of p and f', which is a Sturm
-    chain of f.  The last chain element is gcd(f, f'), so a nonconstant
-    one rejects input that is not squarefree.
-    """
-    if p.degree < 1:
-        raise ValueError("real-root counting needs a nonconstant polynomial")
-    f = _integer_poly(p)
-    sturm = _signed_prs(f, _derivative(f))
+    """Number of distinct real roots of a squarefree polynomial, from
+    the Sturm chain of ``_squarefree``; a chain ending in a nonconstant
+    gcd(f, f') rejects input that is not squarefree."""
+    sturm, _ = _squarefree(p)
     if len(sturm[-1]) > 1:
         raise ValueError("polynomial is not squarefree; decompose it first")
     return _real_root_count(sturm)
@@ -761,21 +738,14 @@ def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int],
     """(multiplicity, degree, distinct real roots) of each squarefree
     factor of p, by increasing multiplicity.
 
-    One signed pseudo-remainder sequence of f and f', f the primitive
-    integer multiple of p, answers both questions when it ends in a
-    constant: f is squarefree and the sequence is its Sturm chain.
-    Otherwise its last element is gcd(f, f'), from which Yun's loop
-    continues, and each factor gets a Sturm chain of its own.  Rejects
-    constant and zero polynomials.
+    A squarefree p is answered by the one sequence of ``_squarefree``,
+    its Sturm chain; otherwise each of Yun's factors gets a Sturm chain
+    of its own.  Rejects constant and zero polynomials.
     """
-    if p.degree < 1:
-        raise ValueError("root counting needs a nonconstant polynomial")
-    f = _integer_poly(p)
-    df = _derivative(f)
-    sequence = _signed_prs(f, df)
+    sequence, factors = _squarefree(p)
     if len(sequence[-1]) == 1:
         return ((1, p.degree, _real_root_count(sequence)),)
     return tuple(
         (m, len(g) - 1, _real_root_count(_signed_prs(g, _derivative(g))))
-        for g, m in _yun(f, df, _normalized(sequence[-1]))
+        for g, m in factors
     )

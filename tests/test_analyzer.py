@@ -183,6 +183,53 @@ class TestJordanSignatureOfMatrix:
         assert count_invariant_subspaces(a).signature == expected
 
 
+class TestJordanSignatureAgainstSympy:
+    """jordan_signature against sympy's charpoly, sqf_list and
+    count_roots on each squarefree factor."""
+
+    @staticmethod
+    def expected(sympy, a: RationalMatrix) -> BlockConfig:
+        m = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.entries]
+        )
+        _, factors = m.charpoly().sqf_list()
+        real, pairs = [], []
+        for g, multiplicity in factors:
+            roots = g.count_roots()
+            real += [multiplicity] * roots
+            pairs += [multiplicity] * ((g.degree() - roots) // 2)
+        return BlockConfig(tuple(pairs), tuple(real))
+
+    def test_random_rational_matrices(self, sympy):
+        rng = random.Random(23)
+        for _ in range(40):
+            a = random_rational_matrix(rng, rng.randint(1, 5))
+            assert jordan_signature(a) == self.expected(sympy, a)
+
+    def test_conjugated_realizations(self, sympy):
+        rng = random.Random(29)
+        for n in range(1, 7):
+            for config in enumerate_configs(n):
+                p = random_invertible_matrix(rng, n, bound=2)
+                a = p.inverse() * realize_config(config) * p
+                assert jordan_signature(a) == config == self.expected(sympy, a)
+
+    def test_derogatory_block_sums(self, sympy):
+        rng = random.Random(31)
+        sums = [
+            [standard_jordan_block(2, 2), standard_jordan_block(2, 1)],
+            [standard_jordan_block(Fraction(-1, 3), 1)] * 3,
+            [real_jordan_block(1, 2, 1), real_jordan_block(1, 2, 2)],
+            [real_jordan_block(0, 1, 1)] * 2 + [standard_jordan_block(0, 2)],
+        ]
+        for blocks in sums:
+            a = RationalMatrix.block_diagonal(blocks)
+            p = random_invertible_matrix(rng, a.n, bound=2)
+            for matrix in (a, p.inverse() * a * p):
+                assert not is_count_finite(matrix)
+                assert jordan_signature(matrix) == self.expected(sympy, matrix)
+
+
 class TestIsCountFinite:
     def test_identity_is_derogatory(self):
         assert not is_count_finite(RationalMatrix.identity(2))

@@ -1,12 +1,18 @@
+import codecs
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import invsub
 from invsub.cli import (
     QUOTE_CHARS,
     SPECTRUM_MAX_N,
@@ -238,6 +244,22 @@ class TestAnalyzeCommand:
         assert document["result"]["finite"] is True
         assert document["result"]["count"] == "4"
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [("0 -1 0\n1 0 0\n0 0 2\n", "matrix.txt"), ('[["1/2", 1], [0, "1/2"]]', "matrix.json")],
+    )
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, text, name):
+        plain = self.write(tmp_path, text, name)
+        marked = tmp_path / ("bom-" + name)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        _, out, _ = run(capsys, "analyze", plain, "--format", "json")
+        status, marked_out, err = run(capsys, "analyze", str(marked), "--format", "json")
+        assert (status, err) == (0, "")
+        document = json.loads(marked_out)
+        assert document["result"] == json.loads(out)["result"]
+        # the digest is still taken over the raw bytes, mark included
+        assert document["input_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+
     def test_json_report_for_infinite(self, capsys, tmp_path):
         path = self.write(tmp_path, "1 0\n0 1\n")
         status, out, _ = run(capsys, "analyze", path, "--format", "json")
@@ -385,6 +407,24 @@ class TestSelfcheckCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["selfcheck", "--max-n", "17"])
         assert excinfo.value.code == 2
+
+
+def test_closed_pipe_ends_silently():
+    # like `invsub table 30 | head -n 1`: far more output than a pipe holds
+    src = Path(invsub.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+        [sys.executable, "-m", "invsub.cli", "table", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        assert child.stdout.readline() == b"n = 30\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    assert err == b""
+    assert status == 1
 
 
 class TestUsageErrors:

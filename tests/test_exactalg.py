@@ -149,11 +149,20 @@ class TestRationalMatrix:
 
     def test_inverse_round_trip_random(self):
         rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            m = random_invertible_matrix(rng, n)
-            assert m * m.inverse() == RationalMatrix.identity(n)
-            assert m.inverse() * m == RationalMatrix.identity(n)
+        matrices = [random_invertible_matrix(rng, rng.randint(1, 8)) for _ in range(25)]
+        # char_poly runs several Krylov chains on these
+        matrices += [
+            RationalMatrix.identity(5).scaled(3),
+            standard_jordan_block(Fraction(2, 3), 6),
+            RationalMatrix.block_diagonal(
+                [standard_jordan_block(5, 2), standard_jordan_block(5, 3)]
+            ),
+        ]
+        for m in matrices:
+            assert m * m.inverse() == RationalMatrix.identity(m.n)
+            assert m.inverse() * m == RationalMatrix.identity(m.n)
+        with pytest.raises(ValueError, match="singular"):
+            standard_jordan_block(0, 4).inverse()
 
     @given(square_matrices(), square_matrices())
     def test_trace_is_additive_on_same_size(self, a, b):
@@ -581,11 +590,6 @@ def substitute(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomi
     for c in reversed(p.coefficients):
         out = out * q + RationalPolynomial((c,))
     return out
-
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
 
 
 class TestSquarefreeRootCounts:
