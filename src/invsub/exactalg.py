@@ -3,18 +3,20 @@
 Deciding whether a matrix keeps finitely many invariant subspaces hinges
 on exact eigenvalue collisions, which floating point cannot witness, so
 everything here is exact and floats are rejected at the boundary rather
-than converted.  ``RationalPolynomial`` holds ``fractions.Fraction``
-coefficients.  ``RationalMatrix`` holds a matrix A as the lcm d of its
-entry denominators and the integer rows of dA; its ``entries`` are
-built as ``Fraction`` values on demand.
-
-The operations below run on plain Python ints.  A polynomial of dA
-rescales to the one of A coefficient by coefficient:
-c_k(A) = c_k(dA) / d^(deg - k).  A rational polynomial is cleared to a
-primitive integer polynomial the same way.
+than converted.  ``RationalMatrix`` and ``RationalPolynomial`` store a
+value v in one integer form, made by ``_integer_form``: the lcm d of
+its reduced denominators and the integers dv, the rows of dA or the
+coefficients of dp.  ``entries`` and ``coefficients`` build
+``Fraction`` values on demand.  The operations run on plain Python
+ints; a polynomial of dA rescales to the one of A coefficient by
+coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
+* Polynomials: ``_mul``, ``_sub`` (``+`` is a - (-b)), ``_derivative``,
+  ``_divide`` (exact long division, through which ``divmod``
+  pseudo-divides) and ``_rescaled`` (``monic``, ``gcd``); one helper,
+  ``_polynomial``, builds every result.
 * Krylov chains v, Av, A^2 v, ... run through one column-wise
   fraction-free (Bareiss) elimination: each vector enters as a new
   column, passes through the earlier elimination steps and becomes a
@@ -61,24 +63,41 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class RationalPolynomial:
-    """Dense polynomial with exact rational coefficients.
+def _integer_form(values: Iterable) -> tuple[int, list[int]]:
+    """(d, [d v for v in values]) with d the lcm of the reduced
+    denominators.  Ints are taken as they are, strings like ``"3/4"``
+    and other rationals are coerced, floats are rejected."""
+    xs = [x if type(x) is int else _to_fraction(x) for x in values]
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
-    Coefficients are indexed by degree and trailing zeros are stripped;
-    the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+
+class RationalPolynomial:
+    """Dense polynomial with exact rational coefficients, stored as integers.
+
+    A polynomial p is kept as ``RationalMatrix`` keeps a matrix: its
+    ``denominator`` d and ``integer_coefficients``, those of dp by
+    degree without trailing zeros (none for the zero polynomial, of
+    degree -1).  Equality and hashing compare this canonical form;
+    ``coefficients`` builds ``Fraction`` values on demand.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("denominator", "integer_coefficients")
 
     def __init__(self, coefficients: Iterable) -> None:
-        coeffs = [_to_fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        d, ints = _integer_form(coefficients)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "integer_coefficients", tuple(_strip(ints)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction`` values, indexed by degree."""
+        d = self.denominator
+        return tuple(Fraction(c, d) for c in self.integer_coefficients)
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -94,74 +113,68 @@ class RationalPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.integer_coefficients) - 1
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.integer_coefficients
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero():
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self.integer_coefficients[-1], self.denominator)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.coefficients[-1] == 1
+        return not self.is_zero() and self.integer_coefficients[-1] == self.denominator
 
     def monic(self) -> "RationalPolynomial":
-        lc = self.leading_coefficient()
-        return RationalPolynomial(c / lc for c in self.coefficients)
+        self.leading_coefficient()  # raises on the zero polynomial
+        return _rescaled(self.integer_coefficients, 1)
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            i * c for i, c in enumerate(self.coefficients) if i > 0
-        )
+        return _polynomial(_derivative(self.integer_coefficients), self.denominator)
 
     def __call__(self, value) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
         x = _to_fraction(value)
         acc = Fraction(0)
-        for c in reversed(self.coefficients):
+        for c in reversed(self.integer_coefficients):
             acc = acc * x + c
-        return acc
+        return acc / self.denominator
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return (
+            self.denominator == other.denominator
+            and self.integer_coefficients == other.integer_coefficients
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.denominator, self.integer_coefficients))
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(-c for c in self.coefficients)
+        return self * -1
 
     def __add__(self, other) -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPolynomial(
-            [x + y for x, y in zip(a, b)] + list(a[len(b):])
-        )
+        return self - (-other)
 
     def __sub__(self, other) -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self + (-other)
+        da, db = self.denominator, other.denominator
+        a = [c * db for c in self.integer_coefficients]
+        b = [c * da for c in other.integer_coefficients]
+        return _polynomial(_sub(a, b), da * db)
 
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self.coefficients)
+            other = RationalPolynomial((other,))
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, x in enumerate(self.coefficients):
-            for j, y in enumerate(other.coefficients):
-                out[i + j] += x * y
-        return RationalPolynomial(out)
+        p = _mul(self.integer_coefficients, other.integer_coefficients)
+        return _polynomial(p, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -174,21 +187,18 @@ class RationalPolynomial:
         return result
 
     def __divmod__(self, other) -> tuple["RationalPolynomial", "RationalPolynomial"]:
+        """Pseudo-division (Knuth, TAOCP 2, 4.6.1) of A = a / d_A by
+        B = b / d_B: with s = lc(b)^(deg a - deg b + 1) each step of s a =
+        q b + r is exact, giving q d_B / (s d_A) and r / (s d_A)."""
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coefficients) - other.degree, 0)
-        remainder = list(self.coefficients)
-        lc = other.leading_coefficient()
-        for shift in range(len(remainder) - other.degree - 1, -1, -1):
-            factor = remainder[shift + other.degree] / lc
-            if factor == 0:
-                continue
-            quotient[shift] = factor
-            for i, c in enumerate(other.coefficients):
-                remainder[shift + i] -= factor * c
-        return RationalPolynomial(quotient), RationalPolynomial(remainder)
+        a, b = self.integer_coefficients, other.integer_coefficients
+        s = b[-1] ** max(len(a) - len(b) + 1, 0)
+        q, r = _divide([s * c for c in a], b)
+        d = s * self.denominator
+        return _polynomial([c * other.denominator for c in q], d), _polynomial(r, d)
 
     def __floordiv__(self, other) -> "RationalPolynomial":
         return divmod(self, other)[0]
@@ -198,7 +208,7 @@ class RationalPolynomial:
 
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Monic greatest common divisor (zero if both inputs are zero)."""
-        g = _gcd(_integer_poly(self), _integer_poly(other))
+        g = _gcd(self.integer_coefficients, other.integer_coefficients)
         return _rescaled(g, 1) if g else RationalPolynomial.zero()
 
     def __repr__(self) -> str:
@@ -207,9 +217,10 @@ class RationalPolynomial:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        coefficients = self.coefficients
         terms = []
         for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
+            c = coefficients[power]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -227,6 +238,11 @@ class RationalPolynomial:
         return text
 
 
+def _polynomial(p: list[int], d: int) -> RationalPolynomial:
+    """The polynomial p / d of an integer polynomial p and a nonzero int d."""
+    return RationalPolynomial(p if d == 1 else (Fraction(c, d) for c in p))
+
+
 class RationalMatrix:
     """Square matrix of exact rationals, stored as integers.
 
@@ -234,36 +250,27 @@ class RationalMatrix:
     denominators of its entries, and ``integer_rows``, the rows of the
     integer matrix dA.  This form is canonical, so equality and hashing
     compare it directly; ``entries`` builds the ``Fraction`` rows on
-    demand.  Instances are immutable.  Entries given as ints are taken
-    as they are, strings like ``"3/4"`` and other rationals are coerced,
-    floats are rejected.
+    demand.  Instances are immutable.  Entries are read by
+    ``_integer_form``, which rejects floats.
     """
 
     __slots__ = ("denominator", "integer_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        entries = [
-            [x if type(x) is int else _to_fraction(x) for x in row] for row in rows
-        ]
-        if not entries:
+        rows = [list(row) for row in rows]
+        d, ints = _integer_form(x for row in rows for x in row)
+        if not rows:
             raise ValueError("matrix document contains no rows")
-        n = len(entries)
-        for i, row in enumerate(entries):
+        n = len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(
                     f"matrix is not square: row {i + 1} has {len(row)} entries, "
                     f"expected {n}"
                 )
-        d = lcm(*(x.denominator for row in entries for x in row))
         object.__setattr__(self, "denominator", d)
-        object.__setattr__(
-            self,
-            "integer_rows",
-            tuple(
-                tuple(x.numerator * (d // x.denominator) for x in row)
-                for row in entries
-            ),
-        )
+        rows = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
+        object.__setattr__(self, "integer_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -344,15 +351,14 @@ class RationalMatrix:
         """Exact inverse by Cayley-Hamilton.
 
         Write det(xI - A) = x q(x) + c.  Then A q(A) = -cI, so A is
-        singular exactly when c = 0 and otherwise A^-1 = -q(A) / c.
-        Raises ValueError on a singular matrix.
+        singular exactly when c = 0 and otherwise A^-1 = -q(A) / c, in
+        which the denominator of the polynomial cancels.  Raises
+        ValueError on a singular matrix.
         """
-        p = char_poly(self)
-        c = p.coefficients[0]
+        c, *q = char_poly(self).integer_coefficients
         if c == 0:
             raise ValueError("matrix is singular")
-        q = RationalPolynomial(p.coefficients[1:])
-        return evaluate_at_matrix(q, self).scaled(-1 / c)
+        return evaluate_at_matrix(_polynomial([-x for x in q], c), self)
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -362,11 +368,19 @@ class RationalMatrix:
 
 
 def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatrix:
-    """Evaluate the polynomial at a square matrix (Horner's rule)."""
-    acc = RationalMatrix.identity(a.n).scaled(0)
-    for c in reversed(p.coefficients):
-        acc = acc * a + RationalMatrix.identity(a.n).scaled(c)
-    return acc
+    """Evaluate p = P / D of degree m at A = B / d: Horner's rule on the
+    integer matrix B gives the sum of P_k d^(m-k) B^k, over D d^m."""
+    n, d = a.n, a.denominator
+    cols = tuple(zip(*a.integer_rows))
+    acc = [[0] * n for _ in range(n)]
+    scale = 1  # d^(m-k)
+    for c in reversed(p.integer_coefficients):
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        for i in range(n):
+            acc[i][i] += c * scale
+        scale *= d
+    divisor = p.denominator * d ** max(p.degree, 0)
+    return RationalMatrix([Fraction(x, divisor) for x in row] for row in acc)
 
 
 # ---- integer polynomials ---------------------------------------------------
@@ -385,12 +399,6 @@ def _primitive(p: list[int]) -> list[int]:
     """p divided by its content, a positive number: signs are kept."""
     g = gcd(*p)
     return [c // g for c in p] if g > 1 else p
-
-
-def _integer_poly(p: RationalPolynomial) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of p."""
-    d = lcm(*(c.denominator for c in p.coefficients))
-    return _primitive([c.numerator * (d // c.denominator) for c in p.coefficients])
 
 
 def _derivative(p: list[int]) -> list[int]:
@@ -434,8 +442,9 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _divexact(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials when b divides a over the integers."""
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Long division a = q b + r of integer polynomials, deg r < deg b;
+    raises ArithmeticError when a step does not divide exactly."""
     quotient = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     for shift in range(len(quotient) - 1, -1, -1):
@@ -447,7 +456,7 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
             quotient[shift] = q
             for i, x in enumerate(b):
                 r[shift + i] -= q * x
-    return _strip(quotient)
+    return _strip(quotient), _strip(r)
 
 
 def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
@@ -499,16 +508,16 @@ def _yun(f: list[int], df: list[int], g: list[int]) -> list[tuple[list[int], int
     positive leading coefficient and strictly increasing
     multiplicities; every gcd is primitive and every division exact.
     """
-    b = _divexact(f, g)
-    d = _sub(_divexact(df, g), _derivative(b))
+    b = _divide(f, g)[0]
+    d = _sub(_divide(df, g)[0], _derivative(b))
     factors = []
     multiplicity = 1
     while len(b) > 1:
         a = _gcd(b, d)
         if len(a) > 1:
             factors.append((a, multiplicity))
-        b = _divexact(b, a)
-        d = _sub(_divexact(d, a), _derivative(b))
+        b = _divide(b, a)[0]
+        d = _sub(_divide(d, a)[0], _derivative(b))
         multiplicity += 1
     return factors
 
@@ -517,11 +526,9 @@ def _yun(f: list[int], df: list[int], g: list[int]) -> list[tuple[list[int], int
 
 
 def _rescaled(q: list[int], d: int) -> RationalPolynomial:
-    """The monic polynomial of A from an integer polynomial q of dA."""
-    degree = len(q) - 1
-    return RationalPolynomial(
-        Fraction(c, q[-1] * d ** (degree - k)) for k, c in enumerate(q)
-    )
+    """The monic polynomial of A from an integer polynomial q of dA:
+    q_k / (lc(q) d^(deg - k)) = q_k d^k / (lc(q) d^deg)."""
+    return _polynomial([c * d**k for k, c in enumerate(q)], q[-1] * d ** (len(q) - 1))
 
 
 class _Basis:
@@ -666,7 +673,7 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
         if i:
             # q is only the part of v's minimal polynomial outside the span
             q = _krylov(a.integer_rows, v, _Basis(a.n))
-        mu = _mul(mu, _divexact(q, _gcd(mu, q)))
+        mu = _mul(mu, _divide(q, _gcd(mu, q))[0])
         if len(mu) > a.n:
             break
     return _rescaled(mu, a.denominator)
@@ -703,7 +710,7 @@ def _squarefree(p: RationalPolynomial) -> tuple[list[list[int]], list]:
     """
     if p.degree < 1:
         raise ValueError(f"needs a nonconstant polynomial, got {p}")
-    f = _integer_poly(p)
+    f = _primitive(list(p.integer_coefficients))
     df = _derivative(f)
     sequence = _signed_prs(f, df)
     if len(sequence[-1]) == 1:

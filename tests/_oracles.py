@@ -212,6 +212,7 @@ def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = Fraction(1)
+    coefficients = p.coefficients
     for i in range(n):
-        rows[i][n - 1] = -p.coefficients[i]
+        rows[i][n - 1] = -coefficients[i]
     return RationalMatrix(rows)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invsub.exactalg import (
     RationalMatrix,
@@ -264,6 +264,107 @@ class TestRationalMatrixStorage:
             built = RationalMatrix(result.entries)
             assert result.denominator == built.denominator
             assert result.integer_rows == built.integer_rows
+
+
+class TestRationalPolynomialStorage:
+    """A polynomial p is stored as its denominator d, the lcm of the
+    reduced coefficient denominators, and the integer coefficients of dp."""
+
+    def test_equal_rationals_store_and_hash_alike(self):
+        forms = [
+            poly("1/2", 1),
+            poly("2/4", "3/3"),
+            poly(Fraction(1, 2), Fraction(2, 2)),
+            poly(Fraction(3, 6), 1, 0, Fraction(0, 5)),
+        ]
+        for p in forms:
+            assert (p.denominator, p.integer_coefficients) == (2, (1, 2))
+            assert p == forms[0]
+            assert hash(p) == hash(forms[0])
+        assert poly("1/2", 1) != poly("1/3", 1)
+        assert poly(1, 2) != poly(Fraction(1, 2), 1)
+
+    def test_denominator_is_lcm_of_reduced_denominators(self):
+        p = poly(Fraction(1, 6), "3/4", 2, Fraction(10, 4))
+        assert p.denominator == 12
+        assert p.integer_coefficients == (2, 9, 24, 30)
+
+    def test_integer_coefficients_keep_denominator_one(self):
+        p = poly(3, -1, Fraction(8, 4), 0)
+        assert p.denominator == 1
+        assert p.integer_coefficients == (3, -1, 2)
+        assert all(type(c) is int for c in p.integer_coefficients)
+
+    def test_negative_denominators_normalize(self):
+        p = poly(Fraction(3, -4), Fraction(-1, -2), "-5/4")
+        assert (p.denominator, p.integer_coefficients) == (4, (-3, 2, -5))
+
+    def test_zero_polynomial(self):
+        for p in (RationalPolynomial.zero(), poly(0, Fraction(0, 3), "0/7")):
+            assert (p.denominator, p.integer_coefficients) == (1, ())
+            assert p.coefficients == ()
+
+    def test_coefficients_are_fractions(self):
+        p = poly(1, "2/3", Fraction(-5, 2), True)
+        assert all(type(c) is Fraction for c in p.coefficients)
+        assert p.coefficients == (
+            Fraction(1), Fraction(2, 3), Fraction(-5, 2), Fraction(1)
+        )
+
+    @given(polynomials)
+    def test_round_trips_through_coefficients(self, p):
+        assert RationalPolynomial(p.coefficients) == p
+        assert gcd(p.denominator, *p.integer_coefficients) == 1
+
+    @pytest.mark.parametrize(
+        "name", ["denominator", "integer_coefficients", "coefficients", "other"]
+    )
+    def test_immutable(self, name):
+        p = poly(1, "1/2")
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        assert p == poly(1, Fraction(1, 2))
+
+    @given(polynomials, nonzero_polynomials, rationals)
+    def test_arithmetic_matches_coefficientwise_fractions(self, a, b, c):
+        ca, cb = a.coefficients, b.coefficients
+        width = max(len(ca), len(cb))
+        pa = ca + (Fraction(0),) * (width - len(ca))
+        pb = cb + (Fraction(0),) * (width - len(cb))
+        assert a + b == RationalPolynomial(x + y for x, y in zip(pa, pb))
+        assert a - b == RationalPolynomial(x - y for x, y in zip(pa, pb))
+        assert -a == RationalPolynomial(-x for x in ca)
+        assert a * c == RationalPolynomial(c * x for x in ca)
+        assert a.derivative() == RationalPolynomial(i * x for i, x in enumerate(ca) if i)
+        assert b.monic() == RationalPolynomial(x / cb[-1] for x in cb)
+        assert b.leading_coefficient() == cb[-1]
+        # results are stored in lowest terms, as if built from their coefficients
+        q, r = divmod(a, b)
+        for result in (a + b, a - b, a * b, a * c, a.derivative(), b.monic(), q, r):
+            built = RationalPolynomial(result.coefficients)
+            assert result.denominator == built.denominator
+            assert result.integer_coefficients == built.integer_coefficients
+
+    def test_divmod_goldens(self):
+        # 2x^3 - x + 1/2 by 3x^2 + 1: the pseudo-division scales by 3^2
+        q, r = divmod(poly("1/2", -1, 0, 2), poly(1, 0, 3))
+        assert (q, r) == (poly(0, Fraction(2, 3)), poly(Fraction(1, 2), Fraction(-5, 3)))
+        q, r = divmod(poly(1, 2, 1), poly("-1/2", "3/4"))
+        assert (q, r) == (poly(Fraction(32, 9), Fraction(4, 3)), poly(Fraction(25, 9)))
+        assert divmod(poly(1, 2), poly(0, 0, -7)) == (RationalPolynomial.zero(), poly(1, 2))
+
+
+@given(st.lists(rationals, max_size=5).map(RationalPolynomial), square_matrices())
+@example(RationalPolynomial.zero(), RationalMatrix([["1/2", 3], [0, "-2/3"]]))
+@example(poly("5/3"), RationalMatrix([["1/2", 3], [0, "-2/3"]]))
+@example(poly(1, "-1/2", 0, "2/5", 3), RationalMatrix([["1/2", 3], ["1/3", "-2/3"]]))
+def test_evaluate_at_matrix_matches_sum_of_powers(p, a):
+    expected = RationalMatrix.identity(a.n).scaled(0)
+    power = RationalMatrix.identity(a.n)
+    for c in p.coefficients:
+        expected = expected + power.scaled(c)
+        power = power * a
+    assert evaluate_at_matrix(p, a) == expected
 
 
 class TestCharPoly:
