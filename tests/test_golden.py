@@ -13,6 +13,11 @@ documents in ``golden/inputs`` are:
   5, and the simple pair 1 +- 3i.
 
 The non-diagonal documents are P^-1 J P for unimodular integer P.
+
+``selfcheck-4.<format>`` is the stdout of ``selfcheck --max-n 4``.  A
+``.stderr`` file is the exact standard error of a usage error (exit 2);
+argparse wraps the usage line at the terminal width, so these run with
+``COLUMNS=80``.
 """
 
 from pathlib import Path
@@ -27,6 +32,12 @@ COMMANDS = (
     + [("table", n) for n in ("1", "4", "6")]
     + [("analyze", p.name) for p in sorted((GOLDEN / "inputs").iterdir())]
 )
+# expected stderr file -> arguments of a usage error
+USAGE_ERRORS = {
+    "spectrum-0.stderr": ["spectrum", "0"],
+    "analyze.stderr": ["analyze"],
+    "no-command.stderr": [],
+}
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
@@ -40,10 +51,28 @@ def test_output_is_byte_identical(capsys, monkeypatch, command, argument, output
     assert (status, captured.out, captured.err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_selfcheck_is_byte_identical(capsys, output_format):
+    status = main(["selfcheck", "--max-n", "4", "--format", output_format])
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "expected" / f"selfcheck-4.{output_format}").read_bytes().decode("utf-8")
+    assert (status, captured.out, captured.err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_error_is_byte_identical(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(USAGE_ERRORS[name])
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "expected" / name).read_bytes().decode("utf-8")
+    assert (excinfo.value.code, captured.out, captured.err) == (2, "", expected)
+
+
 def test_every_golden_file_is_checked():
     names = {
         f"{command}-{Path(argument).stem}.{output_format}"
-        for command, argument in COMMANDS
+        for command, argument in COMMANDS + [("selfcheck", "4")]
         for output_format in ("text", "json")
     }
-    assert names == {p.name for p in (GOLDEN / "expected").iterdir()}
+    assert names | set(USAGE_ERRORS) == {p.name for p in (GOLDEN / "expected").iterdir()}
