@@ -5,6 +5,12 @@ a dimension), ``table`` (per-configuration breakdown), ``analyze``
 (exact analysis of a rational matrix file) and ``selfcheck`` (internal
 cross-validation).  Exit status contract: 0 success, 1 data error
 (unreadable or malformed input, failed selfcheck), 2 usage error.
+
+Each subcommand has one path: its ``cmd_*`` function computes the
+result once and renders it as text or as a JSON report, and its
+subparser runs it (``set_defaults``) and raises all its usage errors.
+A report's ``input_sha256`` digests the input file's bytes for
+``analyze`` and the canonical JSON of the parameters otherwise.
 """
 
 import argparse
@@ -139,77 +145,50 @@ def parse_matrix_document(text: str) -> RationalMatrix:
         raise MatrixInputError(str(exc)) from None
 
 
-def _digest(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _report(command: str, input_obj: dict, digest: str, result: dict) -> str:
+def _report(command: str, params: dict, result: dict, raw: bytes | None = None) -> str:
+    # ``raw``, the bytes of the input file, is given by analyze only
+    if raw is None:
+        raw = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
     document = {
         "command": command,
-        "input": input_obj,
-        "input_sha256": digest,
+        "input": params,
+        "input_sha256": hashlib.sha256(raw).hexdigest(),
         "result": result,
     }
     return json.dumps(document, indent=2)
 
 
-def _params_digest(input_obj: dict) -> str:
-    canonical = json.dumps(input_obj, sort_keys=True, separators=(",", ":"))
-    return _digest(canonical.encode("utf-8"))
-
-
-def _spectrum_text(n: int) -> str:
-    values = ", ".join(str(v) for v in attainable_counts(n))
-    return f"M_{n} = {{{values}}}"
-
-
 def cmd_spectrum(n: int, fmt: str) -> str:
+    values = [str(v) for v in attainable_counts(n)]
     if fmt == "text":
-        return _spectrum_text(n)
-    input_obj = {"n": n}
-    result = {"n": n, "values": [str(v) for v in attainable_counts(n)]}
-    return _report("spectrum", input_obj, _params_digest(input_obj), result)
-
-
-def _table_groups(n: int):
-    # one group per r, the sum of the conjugate-pair parts; a row shows
-    # those parts, then the real ones, with a 0 for an empty side
-    def pairs_total(config):
-        return sum(config.complex_pair_multiplicities)
-
-    for r, configs in groupby(enumerate_configs(n), pairs_total):
-        rows = []
-        for c in configs:
-            shown = (c.complex_pair_multiplicities or (0,)) + (
-                c.real_multiplicities or (0,)
-            )
-            rows.append((shown, count_for_config(c)))
-        yield r, n - 2 * r, rows
+        return f"M_{n} = {{{', '.join(values)}}}"
+    return _report("spectrum", {"n": n}, {"n": n, "values": values})
 
 
 def cmd_table(n: int, fmt: str) -> str:
-    if fmt == "text":
-        lines = [f"n = {n}"]
-        for r, s, rows in _table_groups(n):
-            lines.append(f"r = {r}, s = {s}:")
-            for composition, count in rows:
-                body = ", ".join(str(p) for p in composition)
-                lines.append(f"  ({body}) -> {count}")
-        return "\n".join(lines)
-    input_obj = {"n": n}
-    groups = [
-        {
-            "r": r,
-            "s": s,
-            "rows": [
-                {"composition": list(composition), "count": str(count)}
-                for composition, count in rows
-            ],
-        }
-        for r, s, rows in _table_groups(n)
-    ]
-    result = {"n": n, "groups": groups}
-    return _report("table", input_obj, _params_digest(input_obj), result)
+    # one group per r, the sum of the conjugate-pair parts; a row shows
+    # those parts, then the real ones, with a 0 for an empty side
+    def row_for(config):
+        shown = config.complex_pair_multiplicities or (0,)
+        shown += config.real_multiplicities or (0,)
+        return {"composition": list(shown), "count": str(count_for_config(config))}
+
+    # a generator: text output holds the rows of one group at a time
+    groups = (
+        {"r": r, "s": n - 2 * r, "rows": [row_for(c) for c in configs]}
+        for r, configs in groupby(
+            enumerate_configs(n), lambda c: sum(c.complex_pair_multiplicities)
+        )
+    )
+    if fmt == "json":
+        return _report("table", {"n": n}, {"n": n, "groups": list(groups)})
+    lines = [f"n = {n}"]
+    for group in groups:
+        lines.append(f"r = {group['r']}, s = {group['s']}:")
+        for row in group["rows"]:
+            body = ", ".join(str(p) for p in row["composition"])
+            lines.append(f"  ({body}) -> {row['count']}")
+    return "\n".join(lines)
 
 
 def cmd_analyze(path: str, fmt: str) -> str:
@@ -223,40 +202,28 @@ def cmd_analyze(path: str, fmt: str) -> str:
         raise MatrixInputError(f"{path} is not UTF-8: {exc}") from None
     matrix = parse_matrix_document(text)
     outcome = count_invariant_subspaces(matrix)
-
-    if fmt == "text":
-        lines = [f"matrix: {matrix.n} x {matrix.n}"]
-        if not outcome.is_finite:
-            lines.append("invariant subspaces: infinite")
-        else:
-            sig = outcome.signature
-            lines.append(f"invariant subspaces: {outcome.count}")
-            lines.append(
-                f"real root multiplicities: {list(sig.real_multiplicities)}"
-            )
-            lines.append(
-                "complex pair multiplicities: "
-                f"{list(sig.complex_pair_multiplicities)}"
-            )
-            lines.append(f"dimension profile: {list(outcome.profile)}")
-        return "\n".join(lines)
-
-    if not outcome.is_finite:
-        result = {"n": matrix.n, "finite": False}
-    else:
-        result = {
-            "n": matrix.n,
-            "finite": True,
-            "count": str(outcome.count),
-            "real_root_multiplicities": list(
-                outcome.signature.real_multiplicities
-            ),
-            "complex_pair_multiplicities": list(
-                outcome.signature.complex_pair_multiplicities
-            ),
-            "dimension_profile": [str(c) for c in outcome.profile],
-        }
-    return _report("analyze", {"path": path}, _digest(raw), result)
+    result = {"n": matrix.n, "finite": outcome.is_finite}
+    if outcome.is_finite:
+        signature = outcome.signature
+        result.update(
+            count=str(outcome.count),
+            real_root_multiplicities=list(signature.real_multiplicities),
+            complex_pair_multiplicities=list(signature.complex_pair_multiplicities),
+            dimension_profile=[str(c) for c in outcome.profile],
+        )
+    if fmt == "json":
+        return _report("analyze", {"path": path}, result, raw)
+    lines = [
+        f"matrix: {matrix.n} x {matrix.n}",
+        f"invariant subspaces: {result.get('count', 'infinite')}",
+    ]
+    # each list in the result, labelled by its JSON name with spaces
+    lines += [
+        f"{key.replace('_', ' ')}: [{', '.join(map(str, value))}]"
+        for key, value in result.items()
+        if isinstance(value, list)
+    ]
+    return "\n".join(lines)
 
 
 REFERENCE_SPECTRUM_4 = (3, 4, 5, 6, 8, 9, 12, 16)
@@ -282,24 +249,23 @@ def _selfcheck_results(max_n: int):
 
 
 def cmd_selfcheck(max_n: int, fmt: str) -> tuple[str, int]:
-    results = list(_selfcheck_results(max_n))
-    failures = sum(1 for _, ok in results if not ok)
-    if fmt == "text":
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in results
-        ]
-        if failures:
-            lines.append(f"{failures} of {len(results)} checks FAILED")
-        else:
-            lines.append(f"all {len(results)} checks passed")
-        return "\n".join(lines), 1 if failures else 0
-    input_obj = {"max_n": max_n}
-    result = {
-        "checks": [{"name": name, "passed": ok} for name, ok in results],
-        "all_passed": failures == 0,
-    }
-    report = _report("selfcheck", input_obj, _params_digest(input_obj), result)
-    return report, 1 if failures else 0
+    checks = [
+        {"name": name, "passed": ok} for name, ok in _selfcheck_results(max_n)
+    ]
+    failures = sum(1 for check in checks if not check["passed"])
+    status = 1 if failures else 0
+    if fmt == "json":
+        result = {"checks": checks, "all_passed": failures == 0}
+        return _report("selfcheck", {"max_n": max_n}, result), status
+    lines = [
+        f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}"
+        for check in checks
+    ]
+    if failures:
+        lines.append(f"{failures} of {len(checks)} checks FAILED")
+    else:
+        lines.append(f"all {len(checks)} checks passed")
+    return "\n".join(lines), status
 
 
 def _positive_int(text: str) -> int:
@@ -319,7 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def dimension(args) -> int:
+        # spectrum and table refuse n above --max-n
+        if args.n > args.max_n:
+            args.error(
+                f"n = {args.n} exceeds the maximum {args.max_n}; "
+                "raise --max-n if you really mean it"
+            )
+        return args.n
+
+    def selfcheck(args) -> tuple[str, int]:
+        if args.max_n > SELFCHECK_LIMIT:
+            args.error(f"--max-n is capped at {SELFCHECK_LIMIT} for selfcheck")
+        return cmd_selfcheck(args.max_n, args.format)
+
+    def subcommand(name, help, run, *arguments):
+        # the options all share come after the subcommand's own, as in
+        # --help; ``run(args)`` returns the report and the exit status
+        p = sub.add_parser(name, help=help)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument(
             "--format",
             choices=("text", "json"),
@@ -332,79 +317,52 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="write the report to PATH instead of standard output",
         )
+        p.set_defaults(run=run, error=p.error)
 
-    p_spectrum = sub.add_parser(
-        "spectrum", help="all attainable invariant-subspace counts for dimension n"
-    )
-    p_spectrum.add_argument("n", type=_positive_int)
-    p_spectrum.add_argument(
-        "--max-n",
-        type=_positive_int,
-        default=SPECTRUM_MAX_N,
-        help=f"refuse dimensions above this bound (default: {SPECTRUM_MAX_N})",
-    )
-    add_common(p_spectrum)
+    def max_n(default, help):
+        help = f"{help} (default: {default})"
+        return "--max-n", {"type": _positive_int, "default": default, "help": help}
 
-    p_table = sub.add_parser(
-        "table", help="per-configuration table of counts for dimension n"
+    n = "n", {"type": _positive_int}
+    subcommand(
+        "spectrum",
+        "all attainable invariant-subspace counts for dimension n",
+        lambda args: (cmd_spectrum(dimension(args), args.format), 0),
+        n,
+        max_n(SPECTRUM_MAX_N, "refuse dimensions above this bound"),
     )
-    p_table.add_argument("n", type=_positive_int)
-    p_table.add_argument(
-        "--max-n", type=_positive_int, default=TABLE_MAX_N,
-        help=f"refuse dimensions above this bound (default: {TABLE_MAX_N})",
+    subcommand(
+        "table",
+        "per-configuration table of counts for dimension n",
+        lambda args: (cmd_table(dimension(args), args.format), 0),
+        n,
+        max_n(TABLE_MAX_N, "refuse dimensions above this bound"),
     )
-    add_common(p_table)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="count invariant subspaces of a rational matrix file"
+    subcommand(
+        "analyze",
+        "count invariant subspaces of a rational matrix file",
+        lambda args: (cmd_analyze(args.path, args.format), 0),
+        ("path", {"help": "matrix document (text rows or JSON)"}),
     )
-    p_analyze.add_argument("path", help="matrix document (text rows or JSON)")
-    add_common(p_analyze)
-
-    p_selfcheck = sub.add_parser(
-        "selfcheck", help="cross-validate the spectrum against brute force"
+    subcommand(
+        "selfcheck",
+        "cross-validate the spectrum against brute force",
+        selfcheck,
+        max_n(12, f"largest dimension to check, at most {SELFCHECK_LIMIT}"),
     )
-    p_selfcheck.add_argument(
-        "--max-n", type=_positive_int, default=12,
-        help="largest dimension to check, at most "
-        f"{SELFCHECK_LIMIT} (default: 12)",
-    )
-    add_common(p_selfcheck)
-
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        # flushed here, so that a closed pipe raises inside main
-        print(text, flush=True)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("spectrum", "table") and args.n > args.max_n:
-        parser.error(
-            f"n = {args.n} exceeds the maximum {args.max_n}; "
-            "raise --max-n if you really mean it"
-        )
-    if args.command == "selfcheck" and args.max_n > SELFCHECK_LIMIT:
-        parser.error(f"--max-n is capped at {SELFCHECK_LIMIT} for selfcheck")
-
-    status = 0
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "spectrum":
-            text = cmd_spectrum(args.n, args.format)
-        elif args.command == "table":
-            text = cmd_table(args.n, args.format)
-        elif args.command == "analyze":
-            text = cmd_analyze(args.path, args.format)
+        text, status = args.run(args)
+        if args.output is None:
+            # flushed here, so that a closed pipe raises inside main
+            print(text, flush=True)
         else:
-            text, status = cmd_selfcheck(args.max_n, args.format)
-        _emit(text, args.output)
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
     except BrokenPipeError:
         # the reader is gone: say nothing, and let the flush at exit
         # write what is still buffered to the null device

@@ -37,6 +37,9 @@ USAGE_ERRORS = {
     "spectrum-0.stderr": ["spectrum", "0"],
     "analyze.stderr": ["analyze"],
     "no-command.stderr": [],
+    "spectrum-65.stderr": ["spectrum", "65"],
+    "table-41.stderr": ["table", "41"],
+    "selfcheck-17.stderr": ["selfcheck", "--max-n", "17"],
 }
 
 
