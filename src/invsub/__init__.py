@@ -10,8 +10,6 @@ functionality from a shell.
 from .analyzer import (
     SubspaceCount,
     count_invariant_subspaces,
-    is_count_finite,
-    jordan_signature,
     real_jordan_block,
     realize_config,
     standard_jordan_block,
@@ -27,12 +25,10 @@ from .combinatorics import (
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
-    SquarefreeDecomposition,
     char_poly,
     count_real_roots,
     evaluate_at_matrix,
     min_poly,
-    squarefree_decompose,
 )
 from .spectrum import (
     BlockConfig,
@@ -44,7 +40,7 @@ from .spectrum import (
     enumerate_configs,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BlockConfig",
@@ -52,7 +48,6 @@ __all__ = [
     "RationalMatrix",
     "RationalPolynomial",
     "SpectrumSet",
-    "SquarefreeDecomposition",
     "SubspaceCount",
     "attainable_counts",
     "attainable_counts_bruteforce",
@@ -65,15 +60,12 @@ __all__ = [
     "enumerate_configs",
     "evaluate_at_matrix",
     "is_composition",
-    "is_count_finite",
     "is_partition",
-    "jordan_signature",
     "min_poly",
     "partition_count",
     "partitions_of",
     "real_jordan_block",
     "realize_config",
-    "squarefree_decompose",
     "standard_jordan_block",
     "__version__",
 ]

@@ -6,10 +6,10 @@ polynomial has full degree n (one Jordan block per distinct root); two
 or more blocks sharing a root already force infinitely many invariant
 subspaces.  In the finite case the count depends only on the multiset
 of root multiplicities of the characteristic polynomial, split into
-real roots and conjugate pairs, which one signed pseudo-remainder
-sequence extracts exactly: a Sturm chain when the polynomial is
-squarefree, and otherwise the gcd that starts Yun's squarefree
-decomposition.
+real roots and conjugate pairs, which ``squarefree_root_counts``
+extracts exactly from one signed pseudo-remainder sequence: a Sturm
+chain when the polynomial is squarefree, and otherwise the gcd that
+starts Yun's squarefree decomposition.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
-    char_poly,
     min_poly,
     squarefree_root_counts,
 )
@@ -76,29 +75,6 @@ def _signature(p: RationalPolynomial) -> BlockConfig:
         real.extend([multiplicity] * real_roots)
         complex_pairs.extend([multiplicity] * ((degree - real_roots) // 2))
     return BlockConfig(tuple(complex_pairs), tuple(real))
-
-
-def jordan_signature(a: RationalMatrix) -> BlockConfig:
-    """Root multiplicities of the characteristic polynomial of ``a``, as
-    a :class:`BlockConfig`.
-
-    Root values are not kept.  The result describes the Jordan block
-    structure only when ``a`` is nonderogatory (full-degree minimal
-    polynomial, one block per root); it is well defined regardless.
-    """
-    return _signature(char_poly(a))
-
-
-def is_count_finite(a: RationalMatrix) -> bool:
-    """True iff ``a`` has finitely many invariant subspaces.
-
-    Equivalent to the minimal polynomial having degree n: the
-    characteristic and minimal polynomials then coincide and every
-    distinct root owns exactly one Jordan block.  Any repeated block
-    would drop the minimal degree below n and give infinitely many
-    invariant subspaces.
-    """
-    return min_poly(a).degree == a.n
 
 
 def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:

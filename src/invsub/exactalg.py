@@ -13,10 +13,11 @@ coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
-* Polynomials: ``_mul``, ``_sub`` (``+`` is a - (-b)), ``_derivative``,
-  ``_divide`` (exact long division, through which ``divmod``
-  pseudo-divides) and ``_rescaled`` (``monic``, ``gcd``); one helper,
-  ``_polynomial``, builds every result.
+* Polynomials: ``_mul``, ``_sub`` (``+`` is a - (-b)), ``_derivative``
+  and ``_divide`` (exact long division, through which ``divmod``
+  pseudo-divides); one helper, ``_polynomial``, builds every result,
+  and ``_rescaled`` turns an integer polynomial of dA into the monic
+  one of A.
 * Krylov chains v, Av, A^2 v, ... run through one column-wise
   fraction-free (Bareiss) elimination: each vector enters as a new
   column, passes through the earlier elimination steps and becomes a
@@ -32,22 +33,23 @@ Each operation has one implementation:
   stops once the degree reaches n.
 * ``RationalMatrix.inverse`` has no elimination of its own: writing
   det(xI - A) = x q(x) + c, Cayley-Hamilton gives A^-1 = -q(A) / c.
-* One core, ``_squarefree``, runs the signed pseudo-remainder sequence
-  of f and f'.  Ending in a constant, it is the Sturm chain of f, whose
-  sign variations at +-infinity count the real roots; otherwise Yun's
-  loop continues from its last element, gcd(f, f').
-  ``squarefree_decompose``, ``count_real_roots`` and
-  ``squarefree_root_counts`` are views of it.  ``_signed_prs`` runs
-  every pseudo-remainder sequence.
+* One core, ``squarefree_root_counts``, runs the signed
+  pseudo-remainder sequence of f and f'.  Ending in a constant, it is
+  the Sturm chain of f, whose sign variations at +-infinity count the
+  real roots; otherwise Yun's loop continues from its last element,
+  gcd(f, f'), and each of its factors gets a Sturm chain of its own.
+  ``count_real_roots`` is a view of it.  ``_signed_prs`` runs every
+  pseudo-remainder sequence.
 
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
-the characteristic polynomial, and the first dependence among flattened
-matrix powers for the minimal polynomial.
+the characteristic polynomial, the first dependence among flattened
+matrix powers for the minimal polynomial, and Euclid's gcd with Yun's
+loop over Q, through the public polynomial operations, for the
+squarefree factors.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -118,29 +120,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.integer_coefficients
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self.integer_coefficients[-1], self.denominator)
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.integer_coefficients[-1] == self.denominator
-
-    def monic(self) -> "RationalPolynomial":
-        self.leading_coefficient()  # raises on the zero polynomial
-        return _rescaled(self.integer_coefficients, 1)
-
-    def derivative(self) -> "RationalPolynomial":
-        return _polynomial(_derivative(self.integer_coefficients), self.denominator)
-
-    def __call__(self, value) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        x = _to_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.integer_coefficients):
-            acc = acc * x + c
-        return acc / self.denominator
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
@@ -178,14 +157,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "RationalPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = RationalPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __divmod__(self, other) -> tuple["RationalPolynomial", "RationalPolynomial"]:
         """Pseudo-division (Knuth, TAOCP 2, 4.6.1) of A = a / d_A by
         B = b / d_B: with s = lc(b)^(deg a - deg b + 1) each step of s a =
@@ -200,16 +171,8 @@ class RationalPolynomial:
         d = s * self.denominator
         return _polynomial([c * other.denominator for c in q], d), _polynomial(r, d)
 
-    def __floordiv__(self, other) -> "RationalPolynomial":
-        return divmod(self, other)[0]
-
     def __mod__(self, other) -> "RationalPolynomial":
         return divmod(self, other)[1]
-
-    def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Monic greatest common divisor (zero if both inputs are zero)."""
-        g = _gcd(self.integer_coefficients, other.integer_coefficients)
-        return _rescaled(g, 1) if g else RationalPolynomial.zero()
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self})"
@@ -679,34 +642,16 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     return _rescaled(mu, a.denominator)
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    """Factorization p = constant * prod g_i^(m_i) with the g_i monic,
-    squarefree, pairwise coprime and nonconstant."""
+def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int], ...]:
+    """(multiplicity, degree, distinct real roots) of each squarefree
+    factor of p, by increasing multiplicity.
 
-    constant: Fraction
-    factors: tuple[tuple[RationalPolynomial, int], ...]
-
-    def __post_init__(self) -> None:
-        for g, multiplicity in self.factors:
-            if g.degree < 1:
-                raise ValueError(f"constant factor in decomposition: {g}")
-            if multiplicity < 1:
-                raise ValueError(f"invalid multiplicity {multiplicity}")
-
-    def reconstruct(self) -> RationalPolynomial:
-        """Multiply the decomposition back out (exact)."""
-        result = RationalPolynomial((self.constant,))
-        for g, multiplicity in self.factors:
-            result = result * g**multiplicity
-        return result
-
-
-def _squarefree(p: RationalPolynomial) -> tuple[list[list[int]], list]:
-    """(sequence, factors) of the primitive integer multiple f of p: the
-    signed pseudo-remainder sequence of f and f', a Sturm chain when it
-    ends in a constant, and Yun's (factor, multiplicity) pairs of f,
-    [(f, 1)] in that case.  Rejects constant and zero polynomials.
+    Runs the signed pseudo-remainder sequence of the primitive integer
+    multiple f of p and f'.  Ending in a constant, it is the Sturm chain
+    of f, which is squarefree and answered by that one sequence;
+    otherwise Yun's loop continues from its last element, gcd(f, f'),
+    and each of its factors gets a Sturm chain of its own.  Rejects
+    constant and zero polynomials.
     """
     if p.degree < 1:
         raise ValueError(f"needs a nonconstant polynomial, got {p}")
@@ -714,45 +659,18 @@ def _squarefree(p: RationalPolynomial) -> tuple[list[list[int]], list]:
     df = _derivative(f)
     sequence = _signed_prs(f, df)
     if len(sequence[-1]) == 1:
-        return sequence, [(f, 1)]
-    return sequence, _yun(f, df, _normalized(sequence[-1]))
-
-
-def squarefree_decompose(p: RationalPolynomial) -> SquarefreeDecomposition:
-    """Squarefree decomposition by Yun's algorithm.
-
-    Runs on the primitive integer multiple of p; every gcd is primitive
-    and every division exact.  Multiplicities come out strictly
-    increasing.  Rejects constant and zero polynomials.
-    """
-    _, factors = _squarefree(p)
-    return SquarefreeDecomposition(
-        p.leading_coefficient(), tuple((_rescaled(g, 1), m) for g, m in factors)
+        return ((1, p.degree, _real_root_count(sequence)),)
+    return tuple(
+        (m, len(g) - 1, _real_root_count(_signed_prs(g, _derivative(g))))
+        for g, m in _yun(f, df, _normalized(sequence[-1]))
     )
 
 
 def count_real_roots(p: RationalPolynomial) -> int:
-    """Number of distinct real roots of a squarefree polynomial, from
-    the Sturm chain of ``_squarefree``; a chain ending in a nonconstant
-    gcd(f, f') rejects input that is not squarefree."""
-    sturm, _ = _squarefree(p)
-    if len(sturm[-1]) > 1:
+    """Number of distinct real roots of a squarefree polynomial: the one
+    factor of ``squarefree_root_counts``.  Rejects input that is not
+    squarefree, and constant and zero polynomials."""
+    (m, _, roots), *rest = squarefree_root_counts(p)
+    if m > 1 or rest:
         raise ValueError("polynomial is not squarefree; decompose it first")
-    return _real_root_count(sturm)
-
-
-def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int], ...]:
-    """(multiplicity, degree, distinct real roots) of each squarefree
-    factor of p, by increasing multiplicity.
-
-    A squarefree p is answered by the one sequence of ``_squarefree``,
-    its Sturm chain; otherwise each of Yun's factors gets a Sturm chain
-    of its own.  Rejects constant and zero polynomials.
-    """
-    sequence, factors = _squarefree(p)
-    if len(sequence[-1]) == 1:
-        return ((1, p.degree, _real_root_count(sequence)),)
-    return tuple(
-        (m, len(g) - 1, _real_root_count(_signed_prs(g, _derivative(g))))
-        for g, m in factors
-    )
+    return roots

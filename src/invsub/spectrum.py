@@ -40,8 +40,8 @@ class BlockConfig:
     are canonicalized to weakly decreasing order, so root order never
     matters.
 
-    :func:`invsub.analyzer.jordan_signature` returns one for any matrix;
-    it describes the blocks only when the matrix is nonderogatory.
+    :func:`invsub.analyzer.count_invariant_subspaces` returns one as the
+    signature of every matrix with finitely many invariant subspaces.
     """
 
     complex_pair_multiplicities: tuple[int, ...]

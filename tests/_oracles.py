@@ -6,8 +6,9 @@ integer Krylov elimination, flattened matrix powers instead of vector
 Krylov chains, direct enumeration instead of polynomial convolution, a
 DP table instead of the pentagonal recurrence, a recurrence over every
 dimension instead of over half-dimensions, nested partition loops
-instead of grouping the configuration stream) so that agreement is
-evidence, not tautology.
+instead of grouping the configuration stream, Euclid's gcd and Yun's
+loop over Q through the public polynomial operations instead of the
+integer pseudo-remainder sequence) so that agreement is evidence, not tautology.
 """
 
 from collections import Counter
@@ -165,17 +166,87 @@ def naive_partition_count(n: int) -> int:
     return table[n]
 
 
-def real_divisor_count(decomposition, count_real_roots) -> int:
-    """Number of monic divisors over the reals of the decomposed
-    polynomial: each squarefree factor g of multiplicity m splits over
-    the reals into count_real_roots(g) linear and (deg g - that)/2
-    quadratic irreducibles, each contributing a factor (m + 1)."""
+def real_divisor_count(p: RationalPolynomial, count_real_roots) -> int:
+    """Number of monic divisors of p over the reals: each squarefree
+    factor g of multiplicity m splits over the reals into
+    count_real_roots(g) linear and (deg g - that)/2 quadratic
+    irreducibles, each contributing a factor (m + 1)."""
     total = 1
-    for factor, multiplicity in decomposition.factors:
+    for factor, multiplicity in squarefree_factors(p):
         real = count_real_roots(factor)
         pairs = (factor.degree - real) // 2
         total *= (multiplicity + 1) ** (real + pairs)
     return total
+
+
+def power(p: RationalPolynomial, k: int) -> RationalPolynomial:
+    """p^k by repeated multiplication."""
+    return prod((p,) * k, start=RationalPolynomial.one())
+
+
+def monic(p: RationalPolynomial) -> RationalPolynomial:
+    """p divided by its leading coefficient (p nonzero)."""
+    lead = p.coefficients[-1]
+    return RationalPolynomial(c / lead for c in p.coefficients)
+
+
+def polynomial_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
+    """Monic gcd by Euclid's algorithm over Q (a and b not both zero)."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return monic(a)
+
+
+def _derivative(p: RationalPolynomial) -> RationalPolynomial:
+    return RationalPolynomial(i * c for i, c in enumerate(p.coefficients) if i)
+
+
+def _exact_quotient(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
+    """a / b, where b divides a."""
+    q, r = divmod(a, b)
+    if not r.is_zero():
+        raise AssertionError(f"{b} does not divide {a}")
+    return q
+
+
+def squarefree_factors(
+    p: RationalPolynomial,
+) -> tuple[tuple[RationalPolynomial, int], ...]:
+    """Yun's squarefree decomposition of a nonconstant p over Q, through
+    the public polynomial operations: (g, m) pairs with monic, squarefree, pairwise coprime
+    g, by increasing multiplicity m, whose product of g^m is p divided
+    by its leading coefficient.
+
+        a_0 = gcd(f, f'),  b_1 = f / a_0,  d_1 = f' / a_0 - b_1',
+        a_i = gcd(b_i, d_i),  b_(i+1) = b_i / a_i,
+        d_(i+1) = d_i / a_i - b_(i+1)'
+
+    until b_i = 1; a nonconstant a_i is the factor of multiplicity i.
+    """
+    if p.degree < 1:
+        raise ValueError(f"needs a nonconstant polynomial, got {p}")
+    f = monic(p)
+    df = _derivative(f)
+    g = polynomial_gcd(f, df)
+    b = _exact_quotient(f, g)
+    d = _exact_quotient(df, g) - _derivative(b)
+    factors = []
+    multiplicity = 1
+    while b.degree > 0:
+        a = polynomial_gcd(b, d)
+        if a.degree > 0:
+            factors.append((a, multiplicity))
+        b = _exact_quotient(b, a)
+        d = _exact_quotient(d, a) - _derivative(b)
+        multiplicity += 1
+    return tuple(factors)
+
+
+def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
+    """p / gcd(p, p'): the product of the squarefree factors of a
+    nonconstant p, times its leading coefficient."""
+    lead = RationalPolynomial((p.coefficients[-1],))
+    return prod((g for g, _ in squarefree_factors(p)), start=lead)
 
 
 def random_fraction(rng, max_abs_num: int = 9, max_den: int = 4) -> Fraction:
@@ -206,7 +277,7 @@ def random_invertible_matrix(rng, n: int, bound: int = 5) -> RationalMatrix:
 
 def companion_matrix(p: RationalPolynomial) -> RationalMatrix:
     """Companion matrix of a monic polynomial of degree >= 1."""
-    if not p.is_monic() or p.degree < 1:
+    if p.degree < 1 or p.coefficients[-1] != 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     n = p.degree
     rows = [[Fraction(0)] * n for _ in range(n)]

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from invsub.analyzer import (
     SubspaceCount,
     count_invariant_subspaces,
-    is_count_finite,
-    jordan_signature,
     real_jordan_block,
     realize_config,
     standard_jordan_block,
@@ -19,7 +17,7 @@ from invsub.exactalg import (
     char_poly,
     count_real_roots,
     min_poly,
-    squarefree_decompose,
+    squarefree_root_counts,
 )
 from invsub.spectrum import (
     BlockConfig,
@@ -31,9 +29,12 @@ from invsub.spectrum import (
 
 from _oracles import (
     companion_matrix,
+    power,
     random_invertible_matrix,
     random_rational_matrix,
     real_divisor_count,
+    squarefree_factors,
+    squarefree_part,
 )
 
 
@@ -59,7 +60,7 @@ class TestJordanSignature:
 
     def test_block_config_mapping(self):
         config = BlockConfig((1,), (2, 1))
-        assert jordan_signature(realize_config(config)) == config
+        assert count_invariant_subspaces(realize_config(config)).signature == config
 
 
 class TestSubspaceCount:
@@ -125,31 +126,31 @@ class TestRealizeConfig:
         for config in enumerate_configs(n):
             matrix = realize_config(config)
             assert matrix.n == n
-            assert is_count_finite(matrix)
+            assert count_invariant_subspaces(matrix).is_finite
 
 
 class TestJordanSignatureOfMatrix:
     def test_three_distinct_real_roots(self):
         a = RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-        sig = jordan_signature(a)
+        sig = count_invariant_subspaces(a).signature
         assert sig.real_multiplicities == (1, 1, 1)
         assert sig.complex_pair_multiplicities == ()
 
     def test_rotation(self):
-        sig = jordan_signature(RationalMatrix([[0, -1], [1, 0]]))
+        sig = count_invariant_subspaces(RationalMatrix([[0, -1], [1, 0]])).signature
         assert sig.real_multiplicities == ()
         assert sig.complex_pair_multiplicities == (1,)
 
     def test_mixed_repeated_pair(self):
         # char poly (x^2+1)^2 (x-3): one real root of multiplicity 1,
         # one conjugate pair of multiplicity 2
-        p = poly(1, 0, 1) ** 2 * poly(-3, 1)
-        sig = jordan_signature(companion_matrix(p))
+        p = power(poly(1, 0, 1), 2) * poly(-3, 1)
+        sig = count_invariant_subspaces(companion_matrix(p)).signature
         assert sig.real_multiplicities == (1,)
         assert sig.complex_pair_multiplicities == (2,)
 
     def test_repeated_real_root(self):
-        sig = jordan_signature(standard_jordan_block(Fraction(5), 3))
+        sig = count_invariant_subspaces(standard_jordan_block(Fraction(5), 3)).signature
         assert sig.real_multiplicities == (3,)
         assert sig.complex_pair_multiplicities == ()
 
@@ -169,42 +170,45 @@ class TestJordanSignatureOfMatrix:
         p = RationalPolynomial.one()
         for low, multiplicity in pieces:
             g = RationalPolynomial(low + [1])
-            p = p * (g // g.gcd(g.derivative())) ** multiplicity
+            p = p * power(squarefree_part(g), multiplicity)
         if p.degree < 1:
             return
         real, pairs = [], []
-        for g, m in squarefree_decompose(p).factors:
+        for g, m in squarefree_factors(p):
             roots = count_real_roots(g)
             real += [m] * roots
             pairs += [m] * ((g.degree - roots) // 2)
         expected = BlockConfig(tuple(pairs), tuple(real))
-        a = companion_matrix(p)
-        assert jordan_signature(a) == expected
-        assert count_invariant_subspaces(a).signature == expected
+        assert count_invariant_subspaces(companion_matrix(p)).signature == expected
 
 
 class TestJordanSignatureAgainstSympy:
-    """jordan_signature against sympy's charpoly, sqf_list and
-    count_roots on each squarefree factor."""
+    """The analyzer's signature, and on derogatory matrices the root
+    counts of the characteristic polynomial, against sympy's charpoly,
+    sqf_list and count_roots on each squarefree factor."""
 
     @staticmethod
-    def expected(sympy, a: RationalMatrix) -> BlockConfig:
+    def root_counts(sympy, a: RationalMatrix) -> list[tuple[int, int, int]]:
+        """(multiplicity, degree, real roots) per squarefree factor."""
         m = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.entries]
         )
         _, factors = m.charpoly().sqf_list()
+        return sorted((k, g.degree(), g.count_roots()) for g, k in factors)
+
+    @classmethod
+    def expected(cls, sympy, a: RationalMatrix) -> BlockConfig:
         real, pairs = [], []
-        for g, multiplicity in factors:
-            roots = g.count_roots()
+        for multiplicity, degree, roots in cls.root_counts(sympy, a):
             real += [multiplicity] * roots
-            pairs += [multiplicity] * ((g.degree() - roots) // 2)
+            pairs += [multiplicity] * ((degree - roots) // 2)
         return BlockConfig(tuple(pairs), tuple(real))
 
     def test_random_rational_matrices(self, sympy):
         rng = random.Random(23)
         for _ in range(40):
             a = random_rational_matrix(rng, rng.randint(1, 5))
-            assert jordan_signature(a) == self.expected(sympy, a)
+            assert count_invariant_subspaces(a).signature == self.expected(sympy, a)
 
     def test_conjugated_realizations(self, sympy):
         rng = random.Random(29)
@@ -212,7 +216,8 @@ class TestJordanSignatureAgainstSympy:
             for config in enumerate_configs(n):
                 p = random_invertible_matrix(rng, n, bound=2)
                 a = p.inverse() * realize_config(config) * p
-                assert jordan_signature(a) == config == self.expected(sympy, a)
+                assert count_invariant_subspaces(a).signature == config
+                assert config == self.expected(sympy, a)
 
     def test_derogatory_block_sums(self, sympy):
         rng = random.Random(31)
@@ -226,30 +231,31 @@ class TestJordanSignatureAgainstSympy:
             a = RationalMatrix.block_diagonal(blocks)
             p = random_invertible_matrix(rng, a.n, bound=2)
             for matrix in (a, p.inverse() * a * p):
-                assert not is_count_finite(matrix)
-                assert jordan_signature(matrix) == self.expected(sympy, matrix)
+                assert not count_invariant_subspaces(matrix).is_finite
+                counts = squarefree_root_counts(char_poly(matrix))
+                assert list(counts) == self.root_counts(sympy, matrix)
 
 
 class TestIsCountFinite:
     def test_identity_is_derogatory(self):
-        assert not is_count_finite(RationalMatrix.identity(2))
+        assert not count_invariant_subspaces(RationalMatrix.identity(2)).is_finite
 
     def test_single_jordan_block(self):
-        assert is_count_finite(standard_jordan_block(Fraction(5), 3))
+        assert count_invariant_subspaces(standard_jordan_block(Fraction(5), 3)).is_finite
 
     def test_distinct_diagonal(self):
-        assert is_count_finite(RationalMatrix([[1, 0], [0, 2]]))
+        assert count_invariant_subspaces(RationalMatrix([[1, 0], [0, 2]])).is_finite
 
     def test_repeated_eigenvalue_across_blocks(self):
         a = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        assert not is_count_finite(a)
+        assert not count_invariant_subspaces(a).is_finite
 
     @given(st.integers(1, 5))
     def test_agrees_with_min_poly_degree(self, n):
         rng = random.Random(n)
         for _ in range(5):
             a = random_rational_matrix(rng, n)
-            assert is_count_finite(a) == (min_poly(a).degree == n)
+            assert count_invariant_subspaces(a).is_finite == (min_poly(a).degree == n)
 
 
 class TestCountInvariantSubspaces:
@@ -310,10 +316,7 @@ class TestCountInvariantSubspaces:
             outcome = count_invariant_subspaces(a)
             if not outcome.is_finite:
                 continue
-            decomposition = squarefree_decompose(char_poly(a))
-            assert outcome.count == real_divisor_count(
-                decomposition, count_real_roots
-            )
+            assert outcome.count == real_divisor_count(char_poly(a), count_real_roots)
             checked += 1
         assert checked >= 30
 

@@ -12,7 +12,6 @@ from invsub.exactalg import (
     count_real_roots,
     evaluate_at_matrix,
     min_poly,
-    squarefree_decompose,
     squarefree_root_counts,
 )
 
@@ -24,9 +23,13 @@ from _oracles import (
     char_poly_faddeev_leverrier,
     companion_matrix,
     min_poly_flattened_powers,
+    polynomial_gcd,
+    power,
     random_fraction,
     random_invertible_matrix,
     random_rational_matrix,
+    squarefree_factors,
+    squarefree_part,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -53,6 +56,11 @@ def poly(*coefficients) -> RationalPolynomial:
     return RationalPolynomial(coefficients)
 
 
+def evaluate(p: RationalPolynomial, at: Fraction) -> Fraction:
+    """p(at) as the sum of c_k at^k."""
+    return sum((c * at**k for k, c in enumerate(p.coefficients)), Fraction(0))
+
+
 class TestRationalPolynomial:
     def test_trailing_zeros_stripped(self):
         assert poly(1, 2, 0, 0) == poly(1, 2)
@@ -77,24 +85,12 @@ class TestRationalPolynomial:
     def test_addition_commutes_and_evaluates(self, a, b):
         assert a + b == b + a
         at = Fraction(3, 2)
-        assert (a + b)(at) == a(at) + b(at)
+        assert evaluate(a + b, at) == evaluate(a, at) + evaluate(b, at)
 
     @given(polynomials, polynomials)
     def test_product_evaluates_pointwise(self, a, b):
         at = Fraction(-2, 3)
-        assert (a * b)(at) == a(at) * b(at)
-
-    @given(polynomials, polynomials)
-    def test_product_rule(self, a, b):
-        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
-
-    @given(polynomials)
-    def test_horner_matches_naive_evaluation(self, p):
-        at = Fraction(5, 4)
-        naive = sum(
-            (c * at**i for i, c in enumerate(p.coefficients)), Fraction(0)
-        )
-        assert p(at) == naive
+        assert evaluate(a * b, at) == evaluate(a, at) * evaluate(b, at)
 
     @given(polynomials, nonzero_polynomials)
     def test_division_identity(self, a, b):
@@ -108,22 +104,16 @@ class TestRationalPolynomial:
 
     @given(nonzero_polynomials, nonzero_polynomials)
     def test_gcd_divides_both_and_is_monic(self, a, b):
-        g = a.gcd(b)
-        assert g.is_monic()
+        # Euclid's algorithm through % gives a common divisor
+        g = polynomial_gcd(a, b)
+        assert g.coefficients[-1] == 1
         assert (a % g).is_zero()
         assert (b % g).is_zero()
 
     def test_gcd_of_known_factors(self):
         a = poly(-1, 1) * poly(2, 1)
         b = poly(-1, 1) * poly(3, 1)
-        assert a.gcd(b) == poly(-1, 1)
-
-    @given(polynomials, st.integers(0, 4))
-    def test_power(self, p, k):
-        expected = RationalPolynomial.one()
-        for _ in range(k):
-            expected = expected * p
-        assert p**k == expected
+        assert polynomial_gcd(a, b) == poly(-1, 1)
 
 
 class TestRationalMatrix:
@@ -335,12 +325,9 @@ class TestRationalPolynomialStorage:
         assert a - b == RationalPolynomial(x - y for x, y in zip(pa, pb))
         assert -a == RationalPolynomial(-x for x in ca)
         assert a * c == RationalPolynomial(c * x for x in ca)
-        assert a.derivative() == RationalPolynomial(i * x for i, x in enumerate(ca) if i)
-        assert b.monic() == RationalPolynomial(x / cb[-1] for x in cb)
-        assert b.leading_coefficient() == cb[-1]
         # results are stored in lowest terms, as if built from their coefficients
         q, r = divmod(a, b)
-        for result in (a + b, a - b, a * b, a * c, a.derivative(), b.monic(), q, r):
+        for result in (a + b, a - b, a * b, a * c, q, r):
             built = RationalPolynomial(result.coefficients)
             assert result.denominator == built.denominator
             assert result.integer_coefficients == built.integer_coefficients
@@ -390,7 +377,7 @@ class TestCharPoly:
     @given(square_matrices())
     def test_monic_of_degree_n(self, a):
         c = char_poly(a)
-        assert c.is_monic()
+        assert c.coefficients[-1] == 1
         assert c.degree == a.n
 
     @given(square_matrices(max_n=4))
@@ -427,7 +414,7 @@ class TestMinPoly:
     @given(square_matrices())
     def test_divides_char_poly_and_annihilates(self, a):
         m = min_poly(a)
-        assert m.is_monic()
+        assert m.coefficients[-1] == 1
         assert (char_poly(a) % m).is_zero()
         assert evaluate_at_matrix(m, a).is_zero()
 
@@ -442,7 +429,8 @@ class TestMinPoly:
         a = RationalMatrix.block_diagonal(
             [companion_matrix(p), companion_matrix(q)]
         )
-        lcm = ((p * q) // p.gcd(q)).monic()
+        lcm, rest = divmod(p * q, polynomial_gcd(p, q))
+        assert rest.is_zero()
         assert min_poly(a) == lcm
 
 
@@ -480,9 +468,9 @@ class TestAgainstFractionOracles:
         cases = [
             (poly(-2, 1), poly(-2, 1)),
             (poly(1, 0, 1), poly(1, 0, 1), poly(3, 1)),
-            (poly(-1, 1) ** 2, poly(-1, 1)),
+            (power(poly(-1, 1), 2), poly(-1, 1)),
             (poly(2, -3, 1), poly(2, -3, 1) * poly(Fraction(1, 2), 1)),
-            (poly(1, 0, 1) ** 2, poly(1, 0, 1), poly(Fraction(-5, 3), 1) ** 3),
+            (power(poly(1, 0, 1), 2), poly(1, 0, 1), power(poly(Fraction(-5, 3), 1), 3)),
         ]
         for factors in cases:
             a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
@@ -496,14 +484,14 @@ class TestAgainstFractionOracles:
         # deg p, so the elimination runs at least three chains, and each
         # chain after the first back-substitutes against a nonempty basis
         rng = random.Random(47)
-        quadratic, cubic = poly(1, 0, 1), poly(-2, 1) ** 2 * poly(Fraction(1, 3), 1)
+        quadratic, cubic = poly(1, 0, 1), power(poly(-2, 1), 2) * poly(Fraction(1, 3), 1)
         cases = [
             (quadratic,) * 3,
             (cubic,) * 3,
             (poly(5, 1),) * 4 + (quadratic,),
             (quadratic, cubic, quadratic, cubic),
             (cubic, cubic * poly(-1, 1), cubic),
-            (poly(1, 1, 1) ** 2,) * 3,
+            (power(poly(1, 1, 1), 2),) * 3,
         ]
         for factors in cases:
             a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
@@ -569,7 +557,7 @@ class TestAgainstFractionOracles:
     def test_scalar_matrices(self, n, c):
         a = RationalMatrix.identity(n).scaled(c)
         self.assert_agrees(a)
-        assert char_poly(a) == poly(-c, 1) ** n
+        assert char_poly(a) == power(poly(-c, 1), n)
         assert min_poly(a) == poly(-c, 1)
 
     @pytest.mark.parametrize("entry", [0, 5, -3, Fraction(2, 9), Fraction(-11, 6)])
@@ -579,30 +567,37 @@ class TestAgainstFractionOracles:
         assert min_poly(a) == char_poly(a) == poly(-entry, 1)
 
 
+def rebuilt(lead: Fraction, factors) -> RationalPolynomial:
+    """lead * prod g^m over the (g, m) pairs of a decomposition."""
+    p = RationalPolynomial((lead,))
+    for g, multiplicity in factors:
+        p = p * power(g, multiplicity)
+    return p
+
+
 class TestSquarefreeDecompose:
+    """The Fraction Yun oracle that squarefree_root_counts is checked
+    against: monic, squarefree, pairwise coprime factors by increasing
+    multiplicity that multiply back to p."""
+
     def test_double_root(self):
-        p = poly(-1, 1) ** 2 * poly(2, 1)
-        decomposition = squarefree_decompose(p)
-        assert decomposition.constant == 1
-        assert decomposition.factors == ((poly(2, 1), 1), (poly(-1, 1), 2))
+        p = power(poly(-1, 1), 2) * poly(2, 1)
+        assert squarefree_factors(p) == ((poly(2, 1), 1), (poly(-1, 1), 2))
 
     def test_already_squarefree(self):
-        decomposition = squarefree_decompose(poly(1, 0, 1))
-        assert decomposition.factors == ((poly(1, 0, 1), 1),)
+        assert squarefree_factors(poly(1, 0, 1)) == ((poly(1, 0, 1), 1),)
 
     def test_squared_quadratic(self):
-        decomposition = squarefree_decompose(poly(1, 0, 1) ** 2)
-        assert decomposition.factors == ((poly(1, 0, 1), 2),)
+        assert squarefree_factors(power(poly(1, 0, 1), 2)) == ((poly(1, 0, 1), 2),)
 
     def test_rejects_constants(self):
-        with pytest.raises(ValueError):
-            squarefree_decompose(RationalPolynomial.one())
-        with pytest.raises(ValueError):
-            squarefree_decompose(RationalPolynomial.zero())
+        for p in (RationalPolynomial.one(), RationalPolynomial.zero()):
+            with pytest.raises(ValueError):
+                squarefree_factors(p)
 
     @given(nonzero_polynomials.filter(lambda p: p.degree >= 1))
     def test_reconstruction(self, p):
-        assert squarefree_decompose(p).reconstruct() == p
+        assert rebuilt(p.coefficients[-1], squarefree_factors(p)) == p
 
     @given(
         st.lists(
@@ -613,19 +608,17 @@ class TestSquarefreeDecompose:
     )
     @settings(max_examples=40)
     def test_structure_on_built_products(self, pieces):
-        p = RationalPolynomial.one()
-        for base, multiplicity in pieces:
-            p = p * base**multiplicity
-        decomposition = squarefree_decompose(p)
-        assert decomposition.reconstruct() == p
-        multiplicities = [m for _, m in decomposition.factors]
+        p = rebuilt(Fraction(1), pieces)
+        factors = squarefree_factors(p)
+        assert rebuilt(Fraction(1), factors) == p
+        multiplicities = [m for _, m in factors]
         assert multiplicities == sorted(multiplicities)
         assert len(set(multiplicities)) == len(multiplicities)
-        for factor, _ in decomposition.factors:
-            assert factor.gcd(factor.derivative()).degree == 0
-        for i, (f, _) in enumerate(decomposition.factors):
-            for g, _ in decomposition.factors[i + 1 :]:
-                assert f.gcd(g).degree == 0
+        for factor, _ in factors:
+            assert squarefree_factors(factor) == ((factor, 1),)
+        for i, (f, _) in enumerate(factors):
+            for g, _ in factors[i + 1 :]:
+                assert polynomial_gcd(f, g).degree == 0
 
 
 class TestCountRealRoots:
@@ -645,7 +638,7 @@ class TestCountRealRoots:
 
     def test_rejects_repeated_roots(self):
         with pytest.raises(ValueError):
-            count_real_roots(poly(-1, 1) ** 2)
+            count_real_roots(power(poly(-1, 1), 2))
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
@@ -653,7 +646,7 @@ class TestCountRealRoots:
 
     @given(nonzero_polynomials.filter(lambda p: p.degree >= 1))
     def test_parity_and_range_on_squarefree_part(self, p):
-        squarefree = p // p.gcd(p.derivative())
+        squarefree = squarefree_part(p)
         roots = count_real_roots(squarefree)
         assert 0 <= roots <= squarefree.degree
         assert roots % 2 == squarefree.degree % 2
@@ -673,16 +666,14 @@ def factored_products(draw) -> RationalPolynomial:
     for g, multiplicity in draw(
         st.lists(st.tuples(integer_polynomials, st.integers(1, 3)), min_size=1, max_size=4)
     ):
-        p = p * (g // g.gcd(g.derivative())) ** multiplicity
+        p = p * power(squarefree_part(g), multiplicity)
     return p
 
 
 def composed_root_counts(p: RationalPolynomial) -> tuple:
-    """squarefree_root_counts through the public squarefree_decompose
-    and count_real_roots, one Sturm chain per factor."""
-    return tuple(
-        (m, g.degree, count_real_roots(g)) for g, m in squarefree_decompose(p).factors
-    )
+    """squarefree_root_counts through the Fraction Yun oracle and
+    count_real_roots, one Sturm chain per factor."""
+    return tuple((m, g.degree, count_real_roots(g)) for g, m in squarefree_factors(p))
 
 
 def substitute(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
@@ -704,12 +695,12 @@ class TestSquarefreeRootCounts:
             (poly(-2, 1), ((1, 1, 1),)),
             (poly(1, 0, 1), ((1, 2, 0),)),
             (poly(-2, 0, 1) * poly(1, 0, 1) * poly(5, 1), ((1, 5, 3),)),
-            (poly(-1, 1) ** 2, ((2, 1, 1),)),
+            (power(poly(-1, 1), 2), ((2, 1, 1),)),
             (
-                poly(-1, 1) ** 2 * poly(1, 0, 1) ** 3 * poly(-2, 1) * poly(5, 1),
+                power(poly(-1, 1), 2) * power(poly(1, 0, 1), 3) * poly(-2, 1) * poly(5, 1),
                 ((1, 2, 2), (2, 1, 1), (3, 2, 0)),
             ),
-            (poly(1, 0, 1) ** 2 * poly(-3, 0, 1) ** 2, ((2, 4, 2),)),
+            (power(poly(1, 0, 1), 2) * power(poly(-3, 0, 1), 2), ((2, 4, 2),)),
             (poly(0, 0, 0, 7), ((3, 1, 1),)),
         ],
     )
@@ -731,6 +722,11 @@ class TestSquarefreeRootCounts:
         counts = squarefree_root_counts(p)
         assert counts == composed_root_counts(p)
         assert sum(m * degree for m, degree, _ in counts) == p.degree
+        if len(counts) == 1 and counts[0][0] == 1:
+            assert count_real_roots(p) == counts[0][2]
+        else:
+            with pytest.raises(ValueError, match="not squarefree; decompose it first"):
+                count_real_roots(p)
 
     @given(factored_products())
     @settings(max_examples=60)

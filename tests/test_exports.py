@@ -2,6 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import invsub
 
 
@@ -19,10 +21,30 @@ def test_exports_are_unique_and_public():
     assert [name for name in invsub.__all__ if _is_private(name)] == []
 
 
-def test_signature_type_is_block_config():
-    assert "JordanSignature" not in invsub.__all__
-    assert not hasattr(invsub, "JordanSignature")
+@pytest.mark.parametrize(
+    "removed",
+    [
+        "JordanSignature",
+        "SquarefreeDecomposition",
+        "squarefree_decompose",
+        "jordan_signature",
+        "is_count_finite",
+    ],
+)
+def test_signature_type_is_block_config(removed):
+    assert removed not in invsub.__all__
+    assert not hasattr(invsub, removed)
     assert "BlockConfig" in invsub.__all__
+
+
+def test_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "invsub.__version__"}
 
 
 def test_runtime_imports_only_the_standard_library():
