@@ -7,9 +7,9 @@ or more blocks sharing a root already force infinitely many invariant
 subspaces.  In the finite case the count depends only on the multiset
 of root multiplicities of the characteristic polynomial, split into
 real roots and conjugate pairs, which ``squarefree_root_counts``
-extracts exactly from one signed pseudo-remainder sequence: a Sturm
-chain when the polynomial is squarefree, and otherwise the gcd that
-starts Yun's squarefree decomposition.
+extracts exactly from one signed pseudo-remainder sequence per
+multiplicity level: the Sturm chain of f, which ends in gcd(f, f'),
+then that of the gcd, and so on.  A squarefree polynomial needs one.
 """
 
 from dataclasses import dataclass

@@ -29,17 +29,18 @@ Each operation has one implementation:
   ones; it skips a vector inside that span and stops when the span is
   full.  ``char_poly`` is the product of their polynomials
   (Keller-Gehrig).  ``min_poly`` is the lcm of the minimal polynomials
-  of those vectors, re-running a chain on its own after the first, and
-  stops once the degree reaches n.
-* ``RationalMatrix.inverse`` has no elimination of its own: writing
+  of those vectors: after the first, a vector v extends the lcm mu by
+  the chain of mu(A) v, and the search stops once the degree reaches n.
+* ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
+  vector and ``evaluate_at_matrix`` to each unit vector.
+  ``RationalMatrix.inverse`` has no elimination of its own: writing
   det(xI - A) = x q(x) + c, Cayley-Hamilton gives A^-1 = -q(A) / c.
-* One core, ``squarefree_root_counts``, runs the signed
-  pseudo-remainder sequence of f and f'.  Ending in a constant, it is
-  the Sturm chain of f, whose sign variations at +-infinity count the
-  real roots; otherwise Yun's loop continues from its last element,
-  gcd(f, f'), and each of its factors gets a Sturm chain of its own.
-  ``count_real_roots`` is a view of it.  ``_signed_prs`` runs every
-  pseudo-remainder sequence.
+* One core, ``squarefree_root_counts``, walks the gcd tower g_0 = f,
+  g_(i+1) = gcd(g_i, g_i'): the signed pseudo-remainder sequence of g_i
+  and g_i' is a Sturm chain of g_i that counts its distinct real roots
+  and ends in g_(i+1), so one sequence per multiplicity level gives
+  every factor's degree and real roots.  ``count_real_roots`` is a view
+  of it.  ``_signed_prs`` is the one remainder sequence.
 
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
@@ -331,19 +332,15 @@ class RationalMatrix:
 
 
 def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatrix:
-    """Evaluate p = P / D of degree m at A = B / d: Horner's rule on the
-    integer matrix B gives the sum of P_k d^(m-k) B^k, over D d^m."""
+    """Evaluate p = P / D of degree m at A = B / d: column j is q(B) e_j
+    with q_k = P_k d^(m-k), over D d^m."""
     n, d = a.n, a.denominator
-    cols = tuple(zip(*a.integer_rows))
-    acc = [[0] * n for _ in range(n)]
-    scale = 1  # d^(m-k)
-    for c in reversed(p.integer_coefficients):
-        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-        for i in range(n):
-            acc[i][i] += c * scale
-        scale *= d
-    divisor = p.denominator * d ** max(p.degree, 0)
-    return RationalMatrix([Fraction(x, divisor) for x in row] for row in acc)
+    m = max(p.degree, 0)
+    q = [c * d ** (m - k) for k, c in enumerate(p.integer_coefficients)]
+    units = ([int(i == j) for i in range(n)] for j in range(n))
+    cols = [_horner(q, a.integer_rows, e) for e in units]
+    divisor = p.denominator * d**m
+    return RationalMatrix([Fraction(x, divisor) for x in row] for row in zip(*cols))
 
 
 # ---- integer polynomials ---------------------------------------------------
@@ -428,26 +425,14 @@ def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
     Each r_(i+1) is the primitive part of the pseudo-remainder of
     r_(i-1) by r_i, negated: a negative multiple of the true remainder.
     The sequence ends before the first zero remainder, so its last
-    element is a multiple of gcd(a, b).  From a squarefree f and f' it
-    is a Sturm chain of f.
+    element is a multiple of gcd(a, b).  From f and f' it is a Sturm
+    chain of f, squarefree or not.
     """
     sequence = [a]
     while b:
         sequence.append(b)
         a, b = b, [-c for c in _primitive(_prem(a, b))]
     return sequence
-
-
-def _normalized(p: list[int]) -> list[int]:
-    """The primitive part of p with a positive leading coefficient."""
-    p = _primitive(p)
-    return [-c for c in p] if p and p[-1] < 0 else p
-
-
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with a positive leading coefficient, by the signed
-    pseudo-remainder sequence; zero if both inputs are zero."""
-    return _normalized(_signed_prs(_primitive(a), _primitive(b))[-1])
 
 
 def _real_root_count(sturm: list[list[int]]) -> int:
@@ -462,27 +447,6 @@ def _real_root_count(sturm: list[list[int]]) -> int:
     at_pos = [1 if q[-1] > 0 else -1 for q in sturm]
     at_neg = [s if len(q) % 2 else -s for s, q in zip(at_pos, sturm)]
     return variations(at_neg) - variations(at_pos)
-
-
-def _yun(f: list[int], df: list[int], g: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's squarefree factors of f, given f' and g = gcd(f, f').
-
-    Returns (factor, multiplicity) pairs with primitive factors of
-    positive leading coefficient and strictly increasing
-    multiplicities; every gcd is primitive and every division exact.
-    """
-    b = _divide(f, g)[0]
-    d = _sub(_divide(df, g)[0], _derivative(b))
-    factors = []
-    multiplicity = 1
-    while len(b) > 1:
-        a = _gcd(b, d)
-        if len(a) > 1:
-            factors.append((a, multiplicity))
-        b = _divide(b, a)[0]
-        d = _sub(_divide(d, a)[0], _derivative(b))
-        multiplicity += 1
-    return factors
 
 
 # ---- Krylov elimination ----------------------------------------------------
@@ -576,6 +540,15 @@ def _krylov(b: list[list[int]], v: list[int], basis: _Basis) -> list[int]:
     return [-t for t in y] + [1]
 
 
+def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
+    """p(B) v for an integer polynomial p and integer matrix B, by
+    Horner's rule: one matrix-vector product per coefficient."""
+    acc = [0] * len(v)
+    for c in reversed(p):
+        acc = [sum(map(mul, row, acc)) + c * x for row, x in zip(b, v)]
+    return acc
+
+
 def _start_vectors(n: int) -> list[list[int]]:
     """(1, 2, ..., n), then e_1, ..., e_n.
 
@@ -627,16 +600,20 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     The lcm of the minimal polynomials of the start vectors.  A vector
     in the span of the earlier Krylov spaces is skipped: that span is
     A-invariant, so the vector's minimal polynomial already divides the
-    lcm.  The search ends once the degree reaches n, which certifies
-    that A is nonderogatory, or once the Krylov spaces fill the whole
-    space.
+    lcm.  The first chain's polynomial is its vector's minimal
+    polynomial.  For a later vector v and the lcm mu so far,
+    lcm(mu, mu_v) = mu times the minimal polynomial of mu(A) v, so one
+    Krylov chain of mu(A) v on its own covers the new part of the lcm;
+    it ends at once when mu(A) v = 0.  The search ends once the degree
+    reaches n, which certifies that A is nonderogatory, or once the
+    Krylov spaces fill the whole space.
     """
+    b = a.integer_rows
     mu = [1]
     for i, (v, q) in enumerate(_chains(a)):
         if i:
-            # q is only the part of v's minimal polynomial outside the span
-            q = _krylov(a.integer_rows, v, _Basis(a.n))
-        mu = _mul(mu, _divide(q, _gcd(mu, q))[0])
+            q = _krylov(b, _horner(mu, b, v), _Basis(a.n))
+        mu = _mul(mu, q)
         if len(mu) > a.n:
             break
     return _rescaled(mu, a.denominator)
@@ -646,23 +623,31 @@ def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int],
     """(multiplicity, degree, distinct real roots) of each squarefree
     factor of p, by increasing multiplicity.
 
-    Runs the signed pseudo-remainder sequence of the primitive integer
-    multiple f of p and f'.  Ending in a constant, it is the Sturm chain
-    of f, which is squarefree and answered by that one sequence;
-    otherwise Yun's loop continues from its last element, gcd(f, f'),
-    and each of its factors gets a Sturm chain of its own.  Rejects
-    constant and zero polynomials.
+    Walks the gcd tower g_0 = f, the primitive integer multiple of p,
+    and g_(i+1) = gcd(g_i, g_i'), the last element of the signed
+    pseudo-remainder sequence of g_i and g_i'.  That sequence is a
+    Sturm chain of g_i, squarefree or not, so level i gives the
+    distinct roots deg g_i - deg g_(i+1) and the distinct real roots of
+    g_i: those of multiplicity above i.  The factor of multiplicity m is
+    level m-1 minus level m, and a level with no drop has none.  A
+    squarefree f costs one sequence.  Rejects constant and zero
+    polynomials.
     """
     if p.degree < 1:
         raise ValueError(f"needs a nonconstant polynomial, got {p}")
-    f = _primitive(list(p.integer_coefficients))
-    df = _derivative(f)
-    sequence = _signed_prs(f, df)
-    if len(sequence[-1]) == 1:
-        return ((1, p.degree, _real_root_count(sequence)),)
+    levels = []
+    g = _primitive(list(p.integer_coefficients))
+    while len(g) > 1:
+        sequence = _signed_prs(g, _derivative(g))
+        g = sequence[-1]
+        levels.append((len(sequence[0]) - len(g), _real_root_count(sequence)))
+    levels.append((0, 0))
     return tuple(
-        (m, len(g) - 1, _real_root_count(_signed_prs(g, _derivative(g))))
-        for g, m in _yun(f, df, _normalized(sequence[-1]))
+        (m, roots - deeper_roots, real - deeper_real)
+        for m, ((roots, real), (deeper_roots, deeper_real)) in enumerate(
+            zip(levels, levels[1:]), 1
+        )
+        if roots > deeper_roots
     )
 
 

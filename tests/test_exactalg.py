@@ -664,7 +664,7 @@ def factored_products(draw) -> RationalPolynomial:
     """prod g_i^(m_i) over random squarefree integer factors g_i."""
     p = RationalPolynomial.one()
     for g, multiplicity in draw(
-        st.lists(st.tuples(integer_polynomials, st.integers(1, 3)), min_size=1, max_size=4)
+        st.lists(st.tuples(integer_polynomials, st.integers(1, 5)), min_size=1, max_size=4)
     ):
         p = p * power(squarefree_part(g), multiplicity)
     return p
@@ -685,9 +685,9 @@ def substitute(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomi
 
 
 class TestSquarefreeRootCounts:
-    """The one signed pseudo-remainder sequence of f and f' against Yun
-    and Sturm run one after the other, against sympy, and under
-    substitutions that keep root multiplicities and real roots."""
+    """The remainder sequences of the gcd tower f, gcd(f, f'), ...
+    against Yun and Sturm run one after the other, against sympy, and
+    under substitutions that keep root multiplicities and real roots."""
 
     @pytest.mark.parametrize(
         "p, expected",
@@ -702,6 +702,14 @@ class TestSquarefreeRootCounts:
             ),
             (power(poly(1, 0, 1), 2) * power(poly(-3, 0, 1), 2), ((2, 4, 2),)),
             (poly(0, 0, 0, 7), ((3, 1, 1),)),
+            # a multiplicity gap: levels 1 to 3 of the gcd tower are alike
+            (poly(-1, 1) * power(poly(1, 0, 1), 4), ((1, 1, 1), (4, 2, 0))),
+            # real and complex roots leaving at one level
+            (
+                power(poly(-2, 1), 3) * power(poly(2, 0, 1), 3) * poly(1, 1),
+                ((1, 1, 1), (3, 3, 1)),
+            ),
+            (poly(-6) * power(poly(-1, 1), 2) * power(poly(3, 1), 5), ((2, 1, 1), (5, 1, 1))),
         ],
     )
     def test_goldens(self, p, expected):

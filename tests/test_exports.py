@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -61,3 +62,28 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def _private_names_in_docstrings(tree: ast.Module) -> set[str]:
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = (ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(node, nodes))
+    return {name for doc in docstrings for name in re.findall(r"``(_[A-Za-z]\w*)``", doc)}
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    return defined
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(invsub.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_docstrings_name_only_private_helpers_that_exist(path):
+    # a docstring that names a deleted helper describes code that is gone
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _private_names_in_docstrings(tree) - _defined_names(tree) == set()
