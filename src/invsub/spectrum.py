@@ -13,9 +13,10 @@ The spectrum M_n of all such products in dimension n is computed as a
 set of values, without visiting the configurations themselves.  Two
 trades that keep dimension and count reduce every configuration to
 units of even dimension plus at most one real 1-block, so only the
-levels of half-dimension 0..n//2 are built, each from the smaller ones
-by adding one unit.  :func:`enumerate_configs` still lists the
-configurations for per-configuration views and cross-checks.
+levels of half-dimension 0..n//2 are built, in one pass per unit that
+lets the unit repeat any number of times.  :func:`enumerate_configs`
+still lists the configurations for per-configuration views and
+cross-checks.
 """
 
 from bisect import bisect_left
@@ -139,49 +140,62 @@ def attainable_counts(n: int) -> SpectrumSet:
     """The exact set M_n of integers m for which some operator on R^n
     has exactly m invariant subspaces.
 
-    Computed as M_n = 2^(n mod 2) * E_{n//2}, where E_0 = {1} and, for
-    m >= 1,
+    Computed as M_n = 2^(n mod 2) * E_{n//2}, where E_m is the set of
+    counts of multisets of units of total half-dimension m.  A unit of
+    half-dimension h is a conjugate-pair part h (factor h + 1), a real
+    part 2h (factor 2h + 1) or, for h = 1 only, two real 1-blocks
+    (factor 4):
 
-        E_m = union over h = 1..m, f in F(h) of f * E_{m-h},
         F(1) = {2, 3, 4},  F(h) = {h + 1, 2h + 1} for h >= 2.
 
-    A unit of half-dimension h is a conjugate-pair part h (factor
-    h + 1), a real part 2h (factor 2h + 1) or, for h = 1 only, two real
-    1-blocks (factor 4).  E_m is the set of counts of multisets of units
-    of total half-dimension m: each such multiset either is empty or
-    loses one unit of size h to leave one of size m - h.
+    The levels E_0..E_{n//2} are built as an unbounded knapsack: start
+    from E_0 = {1} and empty E_1..E_{n//2}, then make one pass per unit
+    (h, f), which for m = h..n//2 in ascending order adds f * E_{m-h}
+    to E_m.  By induction on the passes, after those over units
+    u_1..u_k the level E_m holds exactly the counts of multisets of
+    u_1..u_k with half-dimension m.  The pass over u_k = (h, f) keeps
+    what the earlier passes built, and because m ascends it reads
+    E_{m-h} after extending it: so by a second induction on m, a
+    multiset that holds u_k j >= 1 times reaches E_m as f times one
+    that holds it j - 1 times, and every value added is such a count.
+    The passes take the largest h first, so most of them start high and
+    read small levels.  The last pass, (1, 4), frees each level once
+    the next one is built, since no pass reads it again.
 
-    Proof.  A configuration made of units, plus one real 1-block when n
-    is odd, has dimension n and count 2^(n mod 2) times the product of
-    its unit factors, so 2^(n mod 2) * E_{n//2} lies in M_n.
-    Conversely, take any configuration of dimension n and apply two
-    trades, each keeping dimension and count.  First, an odd real part
-    a >= 3 becomes a real 1-block plus a conjugate-pair part (a - 1)/2:
-    dimension 1 + (a - 1) = a, factor 2 * (a + 1)/2 = a + 1.  Now every
-    real part is 1 or even.  Second, pair up the real 1-blocks; each
-    pair is a unit of dimension 2 and factor 4.  What is left is a
-    multiset of units and at most one unpaired 1-block, present exactly
-    when n is odd since every unit has even dimension.  So M_n lies in
+    Proof that M_n = 2^(n mod 2) * E_{n//2}.  A configuration made of
+    units, plus one real 1-block when n is odd, has dimension n and
+    count 2^(n mod 2) times the product of its unit factors, so
+    2^(n mod 2) * E_{n//2} lies in M_n.  Conversely, take any
+    configuration of dimension n and apply two trades, each keeping
+    dimension and count.  First, an odd real part a >= 3 becomes a real
+    1-block plus a conjugate-pair part (a - 1)/2: dimension
+    1 + (a - 1) = a, factor 2 * (a + 1)/2 = a + 1.  Now every real part
+    is 1 or even.  Second, pair up the real 1-blocks; each pair is a
+    unit of dimension 2 and factor 4.  What is left is a multiset of
+    units and at most one unpaired 1-block, present exactly when n is
+    odd since every unit has even dimension.  So M_n lies in
     2^(n mod 2) * E_{n//2}.
 
     Each level is a set, so the work grows with the number of distinct
-    counts, not with the number of configurations, and only n//2
-    levels with two factors per part size (three for h = 1) are built.
-    Values are returned in ascending order.
+    counts, not with the number of configurations.  Values are returned
+    in ascending order.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive: {n}")
-    # finished levels are only iterated, and a tuple holds them in about
-    # half the memory of a set
-    levels: list[tuple[int, ...]] = [(1,)]
-    for m in range(1, n // 2 + 1):
-        level: set[int] = set()
-        for h in range(1, m + 1):
-            for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
-                level.update(f * v for v in levels[m - h])
-        levels.append(tuple(level))
-    scale = 2 if n % 2 else 1
-    return SpectrumSet(n, tuple(sorted(scale * v for v in levels[n // 2])))
+    half = n // 2
+    units = [(h, f) for h in range(half, 1, -1) for f in (h + 1, 2 * h + 1)]
+    units += [(1, 2), (1, 3), (1, 4)]
+    levels: list[set[int] | None] = [{1}] + [set() for _ in range(half)]
+    last = len(units) - 1
+    for i, (h, f) in enumerate(units):
+        for m in range(h, half + 1):
+            levels[m].update(f * v for v in levels[m - h])
+            if i == last:
+                levels[m - h] = None
+    values = sorted(levels[half])
+    if n % 2:
+        values = [2 * v for v in values]
+    return SpectrumSet(n, tuple(values))
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import prod
 
@@ -189,6 +190,15 @@ class TestSpectrumSet:
         assert (value in s) == (value in s.values)
 
 
+# SHA-256 of ",".join(map(str, attainable_counts(n))), beyond the reach of
+# every oracle in the suite
+PINNED_DIGESTS = {
+    48: "8d533a089fbe0567ea095cf0d86b916bdd38f01cfbcdd0c2e37cdf6c3c51ca66",
+    63: "e6cc0183bf520957c73f2af6de22d55bc2c8234687d49f2c5b37515d8bc2644d",
+    64: "82eb234d8c1b340ed94bd7d83b7c416452d393eedf9a30de8477731d89256268",
+}
+
+
 class TestAttainableCounts:
     @pytest.mark.parametrize(
         "n, expected",
@@ -245,10 +255,39 @@ class TestAttainableCounts:
             (31, 2673),
             (32, 3571),
             (40, 10315),
+            (48, 26511),
+            (63, 113793),
+            (64, 137936),
         ],
     )
     def test_pinned_sizes(self, n, size):
-        assert len(attainable_counts(n)) == size
+        spectrum = attainable_counts(n)
+        assert len(spectrum) == size
+        if n in PINNED_DIGESTS:
+            text = ",".join(map(str, spectrum))
+            assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[n]
+
+    @given(st.integers(1, 31), st.data())
+    def test_direct_sums_multiply(self, a, data):
+        """M_a * M_b lies in M_{a+b}: operators on R^a and R^b can always
+        take disjoint roots, and then each invariant subspace of their
+        direct sum is the sum of one invariant subspace of each."""
+        b = data.draw(st.integers(1, 32 - a))
+        spectrum = set(attainable_counts(a + b))
+        right = tuple(attainable_counts(b))
+        for x in attainable_counts(a):
+            assert all(x * y in spectrum for y in right)
+
+    def test_values_are_smooth_up_to_40(self):
+        """Every block factor is part + 1 <= n + 1, so every value of M_n
+        factors fully over the primes up to n + 1."""
+        for n in range(1, 41):
+            primes = [p for p in range(2, n + 2) if all(p % q for q in range(2, p))]
+            for value in attainable_counts(n):
+                for p in primes:
+                    while value % p == 0:
+                        value //= p
+                assert value == 1, n
 
     @given(st.data())
     def test_adding_a_part_multiplies_by_part_plus_one(self, data):
