@@ -81,7 +81,7 @@ def _parse_token(token: str, row: int, col: int) -> int | Fraction:
 
 def _parse_text_rows(text: str) -> list[list[int | Fraction]]:
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line in text.splitlines():
         tokens = line.split()
         if not tokens:
             continue

@@ -14,10 +14,10 @@ coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 Each operation has one implementation:
 
 * Polynomials: ``_mul``, ``_sub`` (``+`` is a - (-b)), ``_derivative``
-  and ``_divide`` (exact long division, through which ``divmod``
-  pseudo-divides); one helper, ``_polynomial``, builds every result,
-  and ``_rescaled`` turns an integer polynomial of dA into the monic
-  one of A.
+  and ``_divide``, the one pseudo-division, shared by ``divmod`` and
+  the remainder sequence ``_signed_prs``; one helper, ``_polynomial``,
+  builds every result, and ``_rescaled`` turns an integer polynomial
+  of dA into the monic one of A.
 * Krylov chains v, Av, A^2 v, ... run through one column-wise
   fraction-free (Bareiss) elimination: each vector enters as a new
   column, passes through the earlier elimination steps and becomes a
@@ -51,6 +51,7 @@ squarefree factors.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -75,26 +76,26 @@ def _integer_form(values: Iterable) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
+@dataclass(frozen=True)
 class RationalPolynomial:
     """Dense polynomial with exact rational coefficients, stored as integers.
 
     A polynomial p is kept as ``RationalMatrix`` keeps a matrix: its
     ``denominator`` d and ``integer_coefficients``, those of dp by
     degree without trailing zeros (none for the zero polynomial, of
-    degree -1).  Equality and hashing compare this canonical form;
-    ``coefficients`` builds ``Fraction`` values on demand.  Instances
-    are immutable and hashable.
+    degree -1).  A frozen dataclass over this canonical form, so
+    equality and hashing compare it, and pickle and copy work; the
+    constructor takes the coefficients themselves.  ``coefficients``
+    builds ``Fraction`` values on demand.
     """
 
-    __slots__ = ("denominator", "integer_coefficients")
+    denominator: int
+    integer_coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable) -> None:
         d, ints = _integer_form(coefficients)
         object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "integer_coefficients", tuple(_strip(ints)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -120,17 +121,6 @@ class RationalPolynomial:
 
     def is_zero(self) -> bool:
         return not self.integer_coefficients
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.integer_coefficients == other.integer_coefficients
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.denominator, self.integer_coefficients))
 
     def __neg__(self) -> "RationalPolynomial":
         return self * -1
@@ -159,16 +149,14 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["RationalPolynomial", "RationalPolynomial"]:
-        """Pseudo-division (Knuth, TAOCP 2, 4.6.1) of A = a / d_A by
-        B = b / d_B: with s = lc(b)^(deg a - deg b + 1) each step of s a =
-        q b + r is exact, giving q d_B / (s d_A) and r / (s d_A)."""
+        """Division of A = a / d_A by B = b / d_B through the
+        pseudo-division s a = q b + r of ``_divide``: the quotient is
+        q d_B / (s d_A) and the remainder r / (s d_A)."""
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, b = self.integer_coefficients, other.integer_coefficients
-        s = b[-1] ** max(len(a) - len(b) + 1, 0)
-        q, r = _divide([s * c for c in a], b)
+        s, q, r = _divide(self.integer_coefficients, other.integer_coefficients)
         d = s * self.denominator
         return _polynomial([c * other.denominator for c in q], d), _polynomial(r, d)
 
@@ -207,18 +195,21 @@ def _polynomial(p: list[int], d: int) -> RationalPolynomial:
     return RationalPolynomial(p if d == 1 else (Fraction(c, d) for c in p))
 
 
+@dataclass(frozen=True)
 class RationalMatrix:
     """Square matrix of exact rationals, stored as integers.
 
     A matrix A is kept as its ``denominator`` d, the lcm of the reduced
     denominators of its entries, and ``integer_rows``, the rows of the
-    integer matrix dA.  This form is canonical, so equality and hashing
-    compare it directly; ``entries`` builds the ``Fraction`` rows on
-    demand.  Instances are immutable.  Entries are read by
-    ``_integer_form``, which rejects floats.
+    integer matrix dA.  A frozen dataclass over this canonical form, so
+    equality and hashing compare it, and pickle and copy work; the
+    constructor takes the rows themselves.  ``entries`` builds the
+    ``Fraction`` rows on demand.  Entries are read by ``_integer_form``,
+    which rejects floats.
     """
 
-    __slots__ = ("denominator", "integer_rows")
+    denominator: int
+    integer_rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         rows = [list(row) for row in rows]
@@ -235,9 +226,6 @@ class RationalMatrix:
         object.__setattr__(self, "denominator", d)
         rows = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
         object.__setattr__(self, "integer_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -266,17 +254,6 @@ class RationalMatrix:
                 rows[offset + i][offset:offset + block.n] = row
             offset += block.n
         return cls(rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.integer_rows == other.integer_rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.denominator, self.integer_rows))
 
     def __add__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
@@ -381,32 +358,15 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of the remainder of a by b (b nonzero).
-
-    Each step multiplies the running remainder by |lc(b)| before
-    subtracting a multiple of b, so no step divides and none flips a
-    sign.
-    """
-    r = list(a)
-    scale = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = sign * r[-1]
-        r = [scale * c for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r.pop()  # the leading term cancels exactly
-        _strip(r)
-    return r
-
-
-def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Long division a = q b + r of integer polynomials, deg r < deg b;
-    raises ArithmeticError when a step does not divide exactly."""
+def _divide(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division (Knuth, TAOCP 2, 4.6.1) of integer polynomials:
+    (s, q, r) with s a = q b + r, deg r < deg b and
+    s = |lc(b)|^(deg a - deg b + 1), a positive number that makes every
+    step of the long division of s a by b exact.  Raises
+    ArithmeticError when a step does not divide exactly."""
     quotient = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
+    s = abs(b[-1]) ** len(quotient)
+    r = [s * c for c in a]
     for shift in range(len(quotient) - 1, -1, -1):
         c = r[shift + len(b) - 1]
         if c:
@@ -416,14 +376,15 @@ def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
             quotient[shift] = q
             for i, x in enumerate(b):
                 r[shift + i] -= q * x
-    return _strip(quotient), _strip(r)
+    return s, _strip(quotient), _strip(r)
 
 
 def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
     """The signed primitive pseudo-remainder sequence a, b, r_2, r_3, ...
 
     Each r_(i+1) is the primitive part of the pseudo-remainder of
-    r_(i-1) by r_i, negated: a negative multiple of the true remainder.
+    r_(i-1) by r_i from ``_divide``, negated: s is positive, so r_(i+1)
+    is a negative multiple of the true remainder.
     The sequence ends before the first zero remainder, so its last
     element is a multiple of gcd(a, b).  From f and f' it is a Sturm
     chain of f, squarefree or not.
@@ -431,7 +392,7 @@ def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
     sequence = [a]
     while b:
         sequence.append(b)
-        a, b = b, [-c for c in _primitive(_prem(a, b))]
+        a, b = b, [-c for c in _primitive(_divide(a, b)[2])]
     return sequence
 
 

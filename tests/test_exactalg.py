@@ -93,6 +93,7 @@ class TestRationalPolynomial:
         assert evaluate(a * b, at) == evaluate(a, at) * evaluate(b, at)
 
     @given(polynomials, nonzero_polynomials)
+    @example(poly(1, "2/3", -5, 0, 4), poly(3, 0, "-2/7"))  # negative leading coefficient
     def test_division_identity(self, a, b):
         q, r = divmod(a, b)
         assert q * b + r == a
@@ -631,6 +632,11 @@ class TestCountRealRoots:
             ((-1, 1), 1),
             ((0, 1), 1),
             ((1, 3), 1),
+            # remainder sequences that skip degrees: 4, 3, 0; 5, 4, 1, 0;
+            # and 12, 11, 8, 7, 4, 3, 0
+            ((1, 0, 0, 0, 1), 0),
+            ((0, -1, 0, 0, 0, 1), 3),
+            ((1,) + (0,) * 7 + (-1, 0, 0, 0, 1), 0),
         ],
     )
     def test_goldens(self, coefficients, expected):

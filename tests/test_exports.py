@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -87,3 +89,27 @@ def test_docstrings_name_only_private_helpers_that_exist(path):
     # a docstring that names a deleted helper describes code that is gone
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _private_names_in_docstrings(tree) - _defined_names(tree) == set()
+
+
+_CONFIG = invsub.BlockConfig((1,), (2, 1))
+_VALUES = [
+    (_CONFIG, "real_multiplicities"),
+    (invsub.Multipartition((2, 1), ((1, 1), (1,))), "composition"),
+    (invsub.RationalMatrix([[1, "1/2"], ["-2/3", 4]]), "integer_rows"),
+    (invsub.RationalPolynomial([3, "-1/2", 0, 2]), "integer_coefficients"),
+    (invsub.attainable_counts(5), "values"),
+    (invsub.SubspaceCount.finite(_CONFIG, invsub.dimension_profile(_CONFIG)), "profile"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES]
+)
+def test_value_types_copy_pickle_and_stay_frozen(value, field):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
