@@ -55,91 +55,73 @@ def _quoted(token: str) -> str:
     return f"{token[:QUOTE_CHARS]!r}... ({len(token)} characters)"
 
 
-def _parse_token(token: str, row: int, col: int) -> int | Fraction:
-    match = _TOKEN.match(token)
-    if not match:
-        raise MatrixInputError(
-            f"row {row}, column {col}: invalid rational token {_quoted(token)} "
-            "(expected an integer or p/q)"
-        )
-    numerator, denominator = match.groups()
-    try:
-        if denominator is None:
-            return int(numerator)
-        return Fraction(int(numerator), int(denominator))
-    except ZeroDivisionError:
-        raise MatrixInputError(
-            f"row {row}, column {col}: zero denominator in {_quoted(token)}"
-        ) from None
-    except ValueError:
-        # the interpreter's int-string conversion limit
-        raise MatrixInputError(
-            f"row {row}, column {col}: integer with more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _parse_text_rows(text: str) -> list[list[int | Fraction]]:
-    rows = []
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        rows.append(
-            [
-                _parse_token(tok, len(rows) + 1, col)
-                for col, tok in enumerate(tokens, start=1)
-            ]
-        )
-    return rows
-
-
-def _parse_json_rows(text: str) -> list[list[int | Fraction]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixInputError(f"invalid JSON matrix document: {exc}") from None
-    except RecursionError:
-        raise MatrixInputError("JSON matrix document nests too deeply") from None
-    except ValueError:
-        # the interpreter's int-string conversion limit
-        raise MatrixInputError(
-            "JSON matrix document has an integer with more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
-    if isinstance(doc, dict):
-        doc = doc.get("rows")
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise MatrixInputError(
-            'JSON matrix document must be a list of rows or {"rows": [...]}'
-        )
-    rows = []
-    for i, row in enumerate(doc, start=1):
-        parsed = []
-        for j, cell in enumerate(row, start=1):
-            if isinstance(cell, int) and not isinstance(cell, bool):
-                parsed.append(cell)
-            elif isinstance(cell, str):
-                parsed.append(_parse_token(cell, i, j))
-            else:
-                raise MatrixInputError(
-                    f"row {i}, column {j}: entry {_quoted(json.dumps(cell))} "
-                    "is not an exact rational"
-                )
-        rows.append(parsed)
-    return rows
+def _parse_cell(cell, row: int, col: int) -> int | Fraction:
+    # a string goes through the token grammar; a JSON int (not true or
+    # false) passes as it is
+    if isinstance(cell, str):
+        match = _TOKEN.match(cell)
+        if not match:
+            raise MatrixInputError(
+                f"row {row}, column {col}: invalid rational token {_quoted(cell)} "
+                "(expected an integer or p/q)"
+            )
+        numerator, denominator = match.groups()
+        try:
+            if denominator is None:
+                return int(numerator)
+            return Fraction(int(numerator), int(denominator))
+        except ZeroDivisionError:
+            raise MatrixInputError(
+                f"row {row}, column {col}: zero denominator in {_quoted(cell)}"
+            ) from None
+        except ValueError:
+            # the interpreter's int-string conversion limit
+            raise MatrixInputError(
+                f"row {row}, column {col}: integer with more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+    if type(cell) is int:
+        return cell
+    raise MatrixInputError(
+        f"row {row}, column {col}: entry {_quoted(json.dumps(cell))} "
+        "is not an exact rational"
+    )
 
 
 def parse_matrix_document(text: str) -> RationalMatrix:
     """Parse a matrix document: whitespace-separated rows of integer or
-    p/q tokens, or the JSON alternative (a list of rows, entries being
-    ints or token strings)."""
+    p/q tokens, one row per line, or the JSON alternative (a list of
+    rows, entries being ints or token strings).  A text line ends at
+    LF, CRLF or CR only, and blank lines are skipped.  Both forms read
+    every cell through one reader, ``_parse_cell``."""
     if text.lstrip()[:1] in ("[", "{"):
-        rows = _parse_json_rows(text)
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MatrixInputError(f"invalid JSON matrix document: {exc}") from None
+        except RecursionError:
+            raise MatrixInputError("JSON matrix document nests too deeply") from None
+        except ValueError:
+            # the interpreter's int-string conversion limit
+            raise MatrixInputError(
+                "JSON matrix document has an integer with more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+        if isinstance(rows, dict):
+            rows = rows.get("rows")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise MatrixInputError(
+                'JSON matrix document must be a list of rows or {"rows": [...]}'
+            )
     else:
-        rows = _parse_text_rows(text)
+        lines = text.replace("\r", "\n").split("\n")
+        rows = [tokens for tokens in map(str.split, lines) if tokens]
+    cells = [
+        [_parse_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
+        for i, row in enumerate(rows, start=1)
+    ]
     try:
-        return RationalMatrix(rows)
+        return RationalMatrix(cells)
     except ValueError as exc:
         # no rows, or a row of the wrong length
         raise MatrixInputError(str(exc)) from None

@@ -46,8 +46,8 @@ Each operation has one implementation:
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
 the characteristic polynomial, the first dependence among flattened
 matrix powers for the minimal polynomial, and Euclid's gcd with Yun's
-loop over Q, through the public polynomial operations, for the
-squarefree factors.
+loop over Q on their own ``Fraction`` long division, which runs none
+of this module's division code, for the squarefree factors.
 """
 
 from collections.abc import Iterable, Iterator, Sequence

@@ -7,8 +7,9 @@ Krylov chains, direct enumeration instead of polynomial convolution, a
 DP table instead of the pentagonal recurrence, a recurrence over every
 dimension instead of over half-dimensions, nested partition loops
 instead of grouping the configuration stream, Euclid's gcd and Yun's
-loop over Q through the public polynomial operations instead of the
-integer pseudo-remainder sequence) so that agreement is evidence, not tautology.
+loop over Q on this module's own long division of Fraction
+coefficient lists instead of the integer pseudo-remainder sequence)
+so that agreement is evidence, not tautology.
 """
 
 from collections import Counter
@@ -190,11 +191,31 @@ def monic(p: RationalPolynomial) -> RationalPolynomial:
     return RationalPolynomial(c / lead for c in p.coefficients)
 
 
+def _long_division(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """(q, r) with a = q b + r and deg r < deg b, by schoolbook long
+    division of Fraction coefficient lists indexed by degree (b nonzero,
+    its last coefficient nonzero); r has no trailing zeros."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in reversed(range(len(q))):
+        c = r[shift + len(b) - 1] / b[-1]
+        q[shift] = c
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def polynomial_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd by Euclid's algorithm over Q (a and b not both zero)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return monic(a)
+    """Monic gcd by Euclid's algorithm over Q (a and b not both zero),
+    on the oracle's own long division."""
+    a, b = list(a.coefficients), list(b.coefficients)
+    while b:
+        a, b = b, _long_division(a, b)[1]
+    return monic(RationalPolynomial(a))
 
 
 def _derivative(p: RationalPolynomial) -> RationalPolynomial:
@@ -202,20 +223,20 @@ def _derivative(p: RationalPolynomial) -> RationalPolynomial:
 
 
 def _exact_quotient(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """a / b, where b divides a."""
-    q, r = divmod(a, b)
-    if not r.is_zero():
+    """a / b, where b divides a, by the oracle's own long division."""
+    q, r = _long_division(list(a.coefficients), list(b.coefficients))
+    if r:
         raise AssertionError(f"{b} does not divide {a}")
-    return q
+    return RationalPolynomial(q)
 
 
 def squarefree_factors(
     p: RationalPolynomial,
 ) -> tuple[tuple[RationalPolynomial, int], ...]:
-    """Yun's squarefree decomposition of a nonconstant p over Q, through
-    the public polynomial operations: (g, m) pairs with monic, squarefree, pairwise coprime
-    g, by increasing multiplicity m, whose product of g^m is p divided
-    by its leading coefficient.
+    """Yun's squarefree decomposition of a nonconstant p over Q, with
+    every gcd and quotient on ``_long_division``: (g, m) pairs with
+    monic, squarefree, pairwise coprime g, by increasing multiplicity m,
+    whose product of g^m is p divided by its leading coefficient.
 
         a_0 = gcd(f, f'),  b_1 = f / a_0,  d_1 = f' / a_0 - b_1',
         a_i = gcd(b_i, d_i),  b_(i+1) = b_i / a_i,

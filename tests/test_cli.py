@@ -228,6 +228,16 @@ class TestAnalyzeCommand:
         status, out, _ = run(capsys, "analyze", path)
         assert status == 0
 
+    # vertical tab, form feed, FS, GS, RS, NEL, LS and PS end a line for
+    # str.splitlines, but in a matrix document they only separate entries
+    @pytest.mark.parametrize("separator", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_other_separators_do_not_end_rows(self, capsys, tmp_path, separator):
+        target = tmp_path / "matrix.txt"
+        target.write_text(f"1 2{separator}3 4\n", encoding="utf-8")
+        status, out, err = run(capsys, "analyze", str(target))
+        assert (status, out) == (1, "")
+        assert err == "error: matrix is not square: row 1 has 4 entries, expected 1\n"
+
     def test_json_document_input(self, capsys, tmp_path):
         path = self.write(tmp_path, '[[0, "-1"], [1, 0]]', "matrix.json")
         status, out, _ = run(capsys, "analyze", path)
@@ -363,6 +373,15 @@ class TestAnalyzeCommand:
         assert out == ""
         assert err == "error: JSON matrix document nests too deeply\n"
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("token", ["x", "1/0", "\uff11", "7" * 5000])
+    def test_bad_token_same_error_in_either_format(self, capsys, tmp_path, token):
+        text = self.write(tmp_path, f"1 0\n0 {token}\n")
+        cells = self.write(tmp_path, json.dumps([["1", "0"], ["0", token]]), "matrix.json")
+        status, out, err = run(capsys, "analyze", text)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: row 2, column 2: ")
+        assert run(capsys, "analyze", cells) == (1, "", err)
 
     def test_short_bad_token_quoted_whole(self, capsys, tmp_path):
         token = "7" * (QUOTE_CHARS - 1) + "x"
@@ -525,8 +544,9 @@ class TestParserEquivalence:
         assert matrix == expected
         assert all(type(x) is Fraction for row in matrix.entries for x in row)
 
-    @given(token_matrices(), st.sampled_from([" ", "\t", "  "]), st.sampled_from(["\n", "\r\n"]))
+    @given(token_matrices(), st.sampled_from([" ", "\t", "  "]), st.sampled_from(["\n", "\r\n", "\r"]))
     @example([["-0/5", "007"], ["+3", "-6/4"]], " ", "\n")
+    @example([["1/2", "0"], ["0", "3/4"]], " ", "\r")
     def test_text_documents(self, token_rows, gap, newline):
         text = newline.join(gap.join(row) for row in token_rows) + newline
         self.assert_same(parse_matrix_document(text), self.expected(token_rows))

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invsub import exactalg
 from invsub.exactalg import (
     RationalMatrix,
     RationalPolynomial,
@@ -595,6 +596,15 @@ class TestSquarefreeDecompose:
         for p in (RationalPolynomial.one(), RationalPolynomial.zero()):
             with pytest.raises(ValueError):
                 squarefree_factors(p)
+
+    def test_runs_no_production_division(self, monkeypatch):
+        # the oracle must not share the pseudo-division it is checked against
+        def refuse(*args):
+            raise AssertionError("the oracle ran exactalg._divide")
+
+        monkeypatch.setattr(exactalg, "_divide", refuse)
+        p = power(poly(-1, 1), 2) * poly(1, 0, 1)
+        assert squarefree_factors(p) == ((poly(1, 0, 1), 1), (poly(-1, 1), 2))
 
     @given(nonzero_polynomials.filter(lambda p: p.degree >= 1))
     def test_reconstruction(self, p):
