@@ -31,7 +31,7 @@ from .spectrum import (
     enumerate_configs,
 )
 
-# `spectrum` costs grow with |M_n| (about half a second at n = 64); `table`
+# `spectrum` costs grow with |M_n| (about 0.3 s at n = 64); `table`
 # prints one row per configuration, sum_r p(r) p(n - 2r): 468,342 rows at
 # n = 40 and 51,491,111 at n = 64
 SPECTRUM_MAX_N = 64

@@ -13,8 +13,10 @@ The spectrum M_n of all such products in dimension n is computed as a
 set of values, without visiting the configurations themselves.  Two
 trades that keep dimension and count reduce every configuration to
 units of even dimension plus at most one real 1-block, so only the
-levels of half-dimension 0..n//2 are built, in one pass per unit that
-lets the unit repeat any number of times.  :func:`enumerate_configs`
+levels of half-dimension 0..n//2 are built, in one pass per
+half-dimension that lets its units repeat any number of times.  A level
+keeps, for each part of its counts prime to 6, one bitmask of the
+exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
 still lists the configurations for per-configuration views and
 cross-checks.
 """
@@ -149,18 +151,29 @@ def attainable_counts(n: int) -> SpectrumSet:
         F(1) = {2, 3, 4},  F(h) = {h + 1, 2h + 1} for h >= 2.
 
     The levels E_0..E_{n//2} are built as an unbounded knapsack: start
-    from E_0 = {1} and empty E_1..E_{n//2}, then make one pass per unit
-    (h, f), which for m = h..n//2 in ascending order adds f * E_{m-h}
-    to E_m.  By induction on the passes, after those over units
-    u_1..u_k the level E_m holds exactly the counts of multisets of
-    u_1..u_k with half-dimension m.  The pass over u_k = (h, f) keeps
-    what the earlier passes built, and because m ascends it reads
-    E_{m-h} after extending it: so by a second induction on m, a
-    multiset that holds u_k j >= 1 times reaches E_m as f times one
-    that holds it j - 1 times, and every value added is such a count.
-    The passes take the largest h first, so most of them start high and
-    read small levels.  The last pass, (1, 4), frees each level once
-    the next one is built, since no pass reads it again.
+    from E_0 = {1} and empty E_1..E_{n//2}, then make one pass per
+    half-dimension h, largest first, which for m = h..n//2 in ascending
+    order adds f * E_{m-h} to E_m for every f in F(h).  By induction on
+    the passes, after those over h' > h the level E_m holds exactly the
+    counts of multisets of units of those half-dimensions with total m.
+    The pass over h keeps what the earlier passes built, and because m
+    ascends it reads E_{m-h} after extending it: so by a second
+    induction on m, a multiset that holds j >= 1 units of F(h) reaches
+    E_m as f times one that holds j - 1 of them, for the f it drops, and
+    every value added is such a count.
+
+    A level is stored by the part of each count prime to 6.  By unique
+    factorization each count is 2^a * 3^b * u for exactly one (a, b, u)
+    with u prime to 6, and E_m maps u to one integer whose bit
+    a + b * stride is set exactly when 2^a * 3^b * u lies in E_m, with
+    stride = 2 * (n//2) + 1.  Every unit f of half-dimension h has
+    2-adic valuation at most 2h and 3-adic valuation at most h, so a
+    count in E_m has a <= 2m < stride and b <= m: the rows never
+    overlap.  Splitting f = 2^x * 3^y * w, w prime to 6, once per pass,
+    multiplying a whole row family by f is one shift,
+    ``E_m[u * w] |= mask << (x + y * stride)``; the pass over h = 1
+    only shifts (by 1, stride and 2) and keeps every key.  The counts come out by walking the set bits of
+    E_{n//2}, 3^b * u shifted left by a + n mod 2.
 
     Proof that M_n = 2^(n mod 2) * E_{n//2}.  A configuration made of
     units, plus one real 1-block when n is odd, has dimension n and
@@ -176,25 +189,42 @@ def attainable_counts(n: int) -> SpectrumSet:
     odd since every unit has even dimension.  So M_n lies in
     2^(n mod 2) * E_{n//2}.
 
-    Each level is a set, so the work grows with the number of distinct
+    The work grows with the number of distinct parts prime to 6 of the
     counts, not with the number of configurations.  Values are returned
     in ascending order.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive: {n}")
     half = n // 2
-    units = [(h, f) for h in range(half, 1, -1) for f in (h + 1, 2 * h + 1)]
-    units += [(1, 2), (1, 3), (1, 4)]
-    levels: list[set[int] | None] = [{1}] + [set() for _ in range(half)]
-    last = len(units) - 1
-    for i, (h, f) in enumerate(units):
+    stride = 2 * half + 1
+    levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
+    for h in range(half, 0, -1):
+        steps = []
+        for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
+            x = (f & -f).bit_length() - 1
+            f >>= x
+            while f % 3 == 0:
+                f //= 3
+                x += stride
+            steps.append((f, x))
         for m in range(h, half + 1):
-            levels[m].update(f * v for v in levels[m - h])
-            if i == last:
-                levels[m - h] = None
-    values = sorted(levels[half])
-    if n % 2:
-        values = [2 * v for v in values]
+            level = levels[m]
+            for u, mask in levels[m - h].items():
+                for w, shift in steps:
+                    level[u * w] = level.get(u * w, 0) | mask << shift
+    values = []
+    row_bits = (1 << stride) - 1
+    for u, mask in levels[half].items():
+        count = u << (n % 2)
+        while mask:
+            row = mask & row_bits
+            while row:
+                low = row & -row
+                values.append(count << (low.bit_length() - 1))
+                row ^= low
+            mask >>= stride
+            count *= 3
+    values.sort()
     return SpectrumSet(n, tuple(values))
 
 

@@ -196,6 +196,7 @@ PINNED_DIGESTS = {
     48: "8d533a089fbe0567ea095cf0d86b916bdd38f01cfbcdd0c2e37cdf6c3c51ca66",
     63: "e6cc0183bf520957c73f2af6de22d55bc2c8234687d49f2c5b37515d8bc2644d",
     64: "82eb234d8c1b340ed94bd7d83b7c416452d393eedf9a30de8477731d89256268",
+    80: "f6949c415e8f96697147a7d71bec8312cf131b49065bad89043ba93adbeb5e24",
 }
 
 
@@ -258,6 +259,7 @@ class TestAttainableCounts:
             (48, 26511),
             (63, 113793),
             (64, 137936),
+            (80, 574593),
         ],
     )
     def test_pinned_sizes(self, n, size):
@@ -288,6 +290,23 @@ class TestAttainableCounts:
                     while value % p == 0:
                         value //= p
                 assert value == 1, n
+
+    def test_largest_powers_of_2_and_3_up_to_40(self):
+        """The largest 2-adic valuation in M_n is n (n real 1-blocks) and
+        the largest 3-adic valuation is n//2 (n//2 real 2-blocks); the
+        builder's bitmask rows rely on both bounds."""
+
+        def valuation(value, p):
+            k = 0
+            while value % p == 0:
+                value //= p
+                k += 1
+            return k
+
+        for n in range(1, 41):
+            values = attainable_counts(n)
+            assert max(valuation(v, 2) for v in values) == n
+            assert max(valuation(v, 3) for v in values) == n // 2
 
     @given(st.data())
     def test_adding_a_part_multiplies_by_part_plus_one(self, data):
