@@ -15,15 +15,17 @@ from itertools import chain
 
 
 def is_partition(parts: Sequence[int]) -> bool:
-    """True if ``parts`` is a weakly decreasing tuple of positive ints."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    """True if ``parts`` is a weakly decreasing tuple of positive ints
+    (``bool`` is not an int part)."""
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 
 
 def is_composition(parts: Sequence[int]) -> bool:
-    """True if ``parts`` is a tuple of nonnegative ints with at most one 0."""
-    if not all(isinstance(p, int) and p >= 0 for p in parts):
+    """True if ``parts`` is a tuple of nonnegative ints with at most one 0
+    (``bool`` is not an int part)."""
+    if not all(type(p) is int and p >= 0 for p in parts):
         return False
     return sum(1 for p in parts if p == 0) <= 1
 

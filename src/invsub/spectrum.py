@@ -16,7 +16,9 @@ units of even dimension plus at most one real 1-block, so only the
 levels of half-dimension 0..n//2 are built, in one pass per
 half-dimension that lets its units repeat any number of times.  A level
 keeps, for each part of its counts prime to 6, one bitmask of the
-exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
+exponents of 2 and 3 that occur with it.  The units of half-dimension 1
+(factors 2, 3 and 4) keep that part, so the closing pass over them
+makes one bitmask update per key.  :func:`enumerate_configs`
 still lists the configurations for per-configuration views and
 cross-checks.
 """
@@ -25,6 +27,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
+from operator import lt
 
 from .combinatorics import is_partition, partitions_of
 from .exactalg import _mul
@@ -79,7 +82,7 @@ class SpectrumSet:
             raise ValueError(f"dimension must be positive: {self.n}")
         if not self.values:
             raise ValueError("a spectrum is never empty")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if not all(map(lt, self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
 
     def __contains__(self, value: int) -> bool:
@@ -171,9 +174,13 @@ def attainable_counts(n: int) -> SpectrumSet:
     count in E_m has a <= 2m < stride and b <= m: the rows never
     overlap.  Splitting f = 2^x * 3^y * w, w prime to 6, once per pass,
     multiplying a whole row family by f is one shift,
-    ``E_m[u * w] |= mask << (x + y * stride)``; the pass over h = 1
-    only shifts (by 1, stride and 2) and keeps every key.  The counts come out by walking the set bits of
-    E_{n//2}, 3^b * u shifted left by a + n mod 2.
+    ``E_m[u * w] |= mask << (x + y * stride)``.  The closing pass over
+    h = 1 has w = 1 for all three factors, so it keeps every key and
+    makes one update per key of E_{m-1}, the three shifts (by 1, 2 and
+    stride) joined:
+    ``E_m[u] |= mask << 1 | mask << 2 | mask << stride``.  The counts
+    come out by walking the set bits of E_{n//2}, 3^b * u shifted left
+    by a + n mod 2.
 
     Proof that M_n = 2^(n mod 2) * E_{n//2}.  A configuration made of
     units, plus one real 1-block when n is odd, has dimension n and
@@ -198,9 +205,9 @@ def attainable_counts(n: int) -> SpectrumSet:
     half = n // 2
     stride = 2 * half + 1
     levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
-    for h in range(half, 0, -1):
+    for h in range(half, 1, -1):
         steps = []
-        for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
+        for f in (h + 1, 2 * h + 1):
             x = (f & -f).bit_length() - 1
             f >>= x
             while f % 3 == 0:
@@ -212,6 +219,10 @@ def attainable_counts(n: int) -> SpectrumSet:
             for u, mask in levels[m - h].items():
                 for w, shift in steps:
                     level[u * w] = level.get(u * w, 0) | mask << shift
+    for m in range(1, half + 1):
+        level = levels[m]
+        for u, mask in levels[m - 1].items():
+            level[u] = level.get(u, 0) | mask << 1 | mask << 2 | mask << stride
     values = []
     row_bits = (1 << stride) - 1
     for u, mask in levels[half].items():

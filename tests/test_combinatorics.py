@@ -95,12 +95,16 @@ class TestValidators:
         assert not is_partition((1, 3))
         assert not is_partition((3, 0))
         assert not is_partition((3, -1))
+        assert not is_partition((True,))
+        assert not is_partition((2, False))
 
     def test_composition_predicate(self):
         assert is_composition((0, 4))
         assert is_composition((5, 6, 3))
         assert not is_composition((0, 4, 0))
         assert not is_composition((-1, 2))
+        assert not is_composition((True, 2))
+        assert not is_composition((False,))
 
 
 class TestMultipartition:
@@ -115,6 +119,14 @@ class TestMultipartition:
     def test_rejects_nonpartition_theta(self):
         with pytest.raises(ValueError):
             Multipartition((3,), ((1, 2),))
+
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError):
+            Multipartition((True,), ((1,),))
+        with pytest.raises(ValueError):
+            Multipartition((1,), ((True,),))
+        with pytest.raises(ValueError):
+            Multipartition((False, 1), ((), (1,)))
 
     def test_rejects_two_zero_parts(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,12 @@ class TestBlockConfig:
         with pytest.raises(ValueError):
             BlockConfig((), ())
 
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError):
+            BlockConfig((True,), (2, 1))
+        with pytest.raises(ValueError):
+            BlockConfig((), (2, True))
+
     @given(block_configs(), st.randoms(use_true_random=False))
     def test_count_invariant_under_shuffle(self, config, rng):
         complex_parts = list(config.complex_pair_multiplicities)
@@ -162,9 +168,20 @@ class TestSpectrumSet:
         with pytest.raises(ValueError):
             SpectrumSet(2, (2, 2, 4))
 
+    def test_rejects_order_violation_in_last_pair(self):
+        with pytest.raises(ValueError):
+            SpectrumSet(3, (2, 4, 3))
+        with pytest.raises(ValueError):
+            SpectrumSet(3, (2, 4, 4))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SpectrumSet(2, ())
+
+    def test_accepts_one_value(self):
+        s = SpectrumSet(1, (2,))
+        assert s.values == (2,)
+        assert 2 in s
 
     def test_membership_and_iteration(self):
         s = attainable_counts(4)
