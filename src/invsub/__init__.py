@@ -40,7 +40,7 @@ from .spectrum import (
     enumerate_configs,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BlockConfig",

@@ -13,11 +13,13 @@ coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
-* Polynomials: ``_mul``, ``_sub`` (``+`` is a - (-b)), ``_derivative``
-  and ``_divide``, the one pseudo-division, shared by ``divmod`` and
-  the remainder sequence ``_signed_prs``; one helper, ``_polynomial``,
-  builds every result, and ``_rescaled`` turns an integer polynomial
-  of dA into the monic one of A.
+* Polynomials: ``_mul``, ``_derivative`` and ``_divide``, the one
+  pseudo-division, shared by ``divmod`` and the remainder sequence
+  ``_signed_prs``; one helper, ``_polynomial``, builds every result,
+  and ``_rescaled`` turns an integer polynomial of dA into the monic
+  one of A.  The value types carry only the arithmetic that the
+  library's two questions and their checks use: ``divmod`` and ``%``
+  of polynomials, and ``*``, ``inverse`` and ``identity`` of matrices.
 * Krylov chains v, Av, A^2 v, ... run through one column-wise
   fraction-free (Bareiss) elimination: each vector enters as a new
   column, passes through the earlier elimination steps and becomes a
@@ -46,32 +48,29 @@ Each operation has one implementation:
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
 the characteristic polynomial, the first dependence among flattened
 matrix powers for the minimal polynomial, and Euclid's gcd with Yun's
-loop over Q on their own ``Fraction`` long division, which runs none
-of this module's division code, for the squarefree factors.
+loop over Q for the squarefree factors.  They run on ``Fraction`` rows
+and coefficient lists of their own, so none of them shares this
+module's arithmetic.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
-
-
-def _to_fraction(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing float {value!r}: exact rational input required"
-        )
-    return Fraction(value)
+from operator import mul
 
 
 def _integer_form(values: Iterable) -> tuple[int, list[int]]:
     """(d, [d v for v in values]) with d the lcm of the reduced
-    denominators.  Ints are taken as they are, strings like ``"3/4"``
-    and other rationals are coerced, floats are rejected."""
-    xs = [x if type(x) is int else _to_fraction(x) for x in values]
+    denominators.  Ints and Fractions are taken as they are, strings
+    like ``"3/4"`` and other rationals are coerced, floats are rejected."""
+    xs = []
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            if isinstance(x, float):
+                raise TypeError(f"refusing float {x!r}: exact rational input required")
+            x = Fraction(x)
+        xs.append(x)
     d = lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
@@ -103,50 +102,12 @@ class RationalPolynomial:
         d = self.denominator
         return tuple(Fraction(c, d) for c in self.integer_coefficients)
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RationalPolynomial":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.integer_coefficients) - 1
 
     def is_zero(self) -> bool:
         return not self.integer_coefficients
-
-    def __neg__(self) -> "RationalPolynomial":
-        return self * -1
-
-    def __add__(self, other) -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self - (-other)
-
-    def __sub__(self, other) -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        da, db = self.denominator, other.denominator
-        a = [c * db for c in self.integer_coefficients]
-        b = [c * da for c in other.integer_coefficients]
-        return _polynomial(_sub(a, b), da * db)
-
-    def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial((other,))
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        p = _mul(self.integer_coefficients, other.integer_coefficients)
-        return _polynomial(p, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["RationalPolynomial", "RationalPolynomial"]:
         """Division of A = a / d_A by B = b / d_B through the
@@ -255,18 +216,6 @@ class RationalMatrix:
             offset += block.n
         return cls(rows)
 
-    def __add__(self, other) -> "RationalMatrix":
-        if not isinstance(other, RationalMatrix) or self.n != other.n:
-            return NotImplemented
-        return RationalMatrix(
-            map(add, r, q) for r, q in zip(self.entries, other.entries)
-        )
-
-    def __sub__(self, other) -> "RationalMatrix":
-        if not isinstance(other, RationalMatrix) or self.n != other.n:
-            return NotImplemented
-        return self + other.scaled(-1)
-
     def __mul__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
@@ -276,14 +225,6 @@ class RationalMatrix:
             [Fraction(sum(map(mul, row, col)), d) for col in cols]
             for row in self.integer_rows
         )
-
-    def scaled(self, factor) -> "RationalMatrix":
-        c = _to_fraction(factor)
-        return RationalMatrix([x * c for x in row] for row in self.entries)
-
-    def trace(self) -> Fraction:
-        diagonal = (row[i] for i, row in enumerate(self.integer_rows))
-        return Fraction(sum(diagonal), self.denominator)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.integer_rows))
@@ -340,12 +281,6 @@ def _primitive(p: list[int]) -> list[int]:
 
 def _derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p) if i]
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    return _strip([x - y for x, y in zip(a, b)] + a[len(b):])
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:

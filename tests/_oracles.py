@@ -7,19 +7,75 @@ Krylov chains, direct enumeration instead of polynomial convolution, a
 DP table instead of the pentagonal recurrence, a recurrence over every
 dimension instead of over half-dimensions, nested partition loops
 instead of grouping the configuration stream, Euclid's gcd and Yun's
-loop over Q on this module's own long division of Fraction
-coefficient lists instead of the integer pseudo-remainder sequence)
-so that agreement is evidence, not tautology.
+loop over Q instead of the integer pseudo-remainder sequence) so that
+agreement is evidence, not tautology.
+
+The algebra oracles run on plain ``Fraction`` rows and coefficient
+lists, read from ``RationalMatrix.entries`` and
+``RationalPolynomial.coefficients``, with this module's own product,
+difference and long division; they build a value type only for the
+result they return, so they share no arithmetic with ``invsub``.
+A coefficient list is indexed by degree and has no trailing zeros; the
+zero polynomial is the empty list.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import product as cartesian_product
 from math import prod
 
 from invsub.combinatorics import partitions_of
 from invsub.exactalg import RationalMatrix, RationalPolynomial
 from invsub.spectrum import BlockConfig
+
+# ---- Fraction coefficient lists and rows -----------------------------------
+
+
+def _trimmed(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    width = max(len(a), len(b))
+    a = a + [Fraction(0)] * (width - len(a))
+    b = b + [Fraction(0)] * (width - len(b))
+    return _trimmed([x + y for x, y in zip(a, b)])
+
+
+def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return _poly_add(a, [-y for y in b])
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _matrix_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def product(*polys: RationalPolynomial) -> RationalPolynomial:
+    """The product of polynomials (1 for none), on Fraction lists."""
+    out = [Fraction(1)]
+    for p in polys:
+        out = _poly_mul(out, p.coefficients)
+    return RationalPolynomial(out)
+
+
+def power(p: RationalPolynomial, k: int) -> RationalPolynomial:
+    """p^k by repeated multiplication."""
+    return product(*(p,) * k)
 
 
 def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
@@ -27,11 +83,23 @@ def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
 
     Exponential in n; keep n <= 5.
     """
-    x = RationalPolynomial.x()
-    cells = [[RationalPolynomial((-entry,)) for entry in row] for row in a.entries]
-    for i in range(a.n):
-        cells[i][i] = cells[i][i] + x
-    return _poly_det(cells)
+    cells = [
+        [[-entry, Fraction(1)] if i == j else [-entry] if entry else []
+         for j, entry in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+    return RationalPolynomial(_poly_det(cells))
+
+
+def _poly_det(cells: list[list[list[Fraction]]]) -> list[Fraction]:
+    if len(cells) == 1:
+        return cells[0][0]
+    total: list[Fraction] = []
+    for i, row in enumerate(cells):
+        minor = [other[1:] for k, other in enumerate(cells) if k != i]
+        term = _poly_mul(row[0], _poly_det(minor))
+        total = (_poly_sub if i % 2 else _poly_add)(total, term)
+    return total
 
 
 def char_poly_faddeev_leverrier(a: RationalMatrix) -> RationalPolynomial:
@@ -41,14 +109,16 @@ def char_poly_faddeev_leverrier(a: RationalMatrix) -> RationalPolynomial:
 
     in Fraction arithmetic.
     """
-    n = a.n
+    n, rows = a.n, a.entries
     coefficients = [Fraction(0)] * n + [Fraction(1)]
-    m = RationalMatrix.identity(n)
+    m = _identity(n)
     for k in range(1, n + 1):
-        am = a * m
-        c = -am.trace() / k
+        am = _matrix_mul(rows, m)
+        c = -sum(am[i][i] for i in range(n)) / k
         coefficients[n - k] = c
-        m = am + RationalMatrix.identity(n).scaled(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
     return RationalPolynomial(coefficients)
 
 
@@ -59,12 +129,12 @@ def min_poly_flattened_powers(a: RationalMatrix) -> RationalPolynomial:
     Keeps a reduced echelon basis with combination tracking in Fraction
     arithmetic; Cayley-Hamilton bounds the search at degree n.
     """
-    n = a.n
+    n, entries = a.n, a.entries
     rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = RationalMatrix.identity(n)
+    power = _identity(n)
     degree = 0
     while True:
-        vec = [entry for row in power.entries for entry in row]
+        vec = [entry for row in power for entry in row]
         combo = [Fraction(0)] * degree + [Fraction(1)]
         for pivot, rvec, rcombo in rows:
             c = vec[pivot]
@@ -83,20 +153,8 @@ def min_poly_flattened_powers(a: RationalMatrix) -> RationalPolynomial:
         rows.append(
             (pivot, [x / scale for x in vec], [x / scale for x in combo])
         )
-        power = power * a
+        power = _matrix_mul(power, entries)
         degree += 1
-
-
-def _poly_det(cells: list[list[RationalPolynomial]]) -> RationalPolynomial:
-    n = len(cells)
-    if n == 1:
-        return cells[0][0]
-    total = RationalPolynomial.zero()
-    for i in range(n):
-        minor = [row[1:] for k, row in enumerate(cells) if k != i]
-        term = cells[i][0] * _poly_det(minor)
-        total = total + (-term if i % 2 else term)
-    return total
 
 
 def brute_force_profile(config: BlockConfig) -> tuple[int, ...]:
@@ -111,7 +169,7 @@ def brute_force_profile(config: BlockConfig) -> tuple[int, ...]:
     choices += [
         range(0, 2 * k + 1, 2) for k in config.complex_pair_multiplicities
     ]
-    histogram = Counter(sum(dims) for dims in product(*choices))
+    histogram = Counter(sum(dims) for dims in cartesian_product(*choices))
     return tuple(histogram.get(d, 0) for d in range(config.n + 1))
 
 
@@ -180,17 +238,6 @@ def real_divisor_count(p: RationalPolynomial, count_real_roots) -> int:
     return total
 
 
-def power(p: RationalPolynomial, k: int) -> RationalPolynomial:
-    """p^k by repeated multiplication."""
-    return prod((p,) * k, start=RationalPolynomial.one())
-
-
-def monic(p: RationalPolynomial) -> RationalPolynomial:
-    """p divided by its leading coefficient (p nonzero)."""
-    lead = p.coefficients[-1]
-    return RationalPolynomial(c / lead for c in p.coefficients)
-
-
 def _long_division(
     a: list[Fraction], b: list[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
@@ -204,30 +251,36 @@ def _long_division(
         q[shift] = c
         for i, x in enumerate(b):
             r[shift + i] -= c * x
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    return q, _trimmed(r)
+
+
+def _monic(p: list[Fraction]) -> list[Fraction]:
+    return [c / p[-1] for c in p]
+
+
+def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd by Euclid's algorithm (a and b not both zero)."""
+    while b:
+        a, b = b, _long_division(a, b)[1]
+    return _monic(a)
+
+
+def _derivative(p: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p) if i]
+
+
+def _exact_quotient(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a / b, where b divides a."""
+    q, r = _long_division(a, b)
+    if r:
+        raise AssertionError(f"{b} does not divide {a}")
+    return q
 
 
 def polynomial_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd by Euclid's algorithm over Q (a and b not both zero),
     on the oracle's own long division."""
-    a, b = list(a.coefficients), list(b.coefficients)
-    while b:
-        a, b = b, _long_division(a, b)[1]
-    return monic(RationalPolynomial(a))
-
-
-def _derivative(p: RationalPolynomial) -> RationalPolynomial:
-    return RationalPolynomial(i * c for i, c in enumerate(p.coefficients) if i)
-
-
-def _exact_quotient(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """a / b, where b divides a, by the oracle's own long division."""
-    q, r = _long_division(list(a.coefficients), list(b.coefficients))
-    if r:
-        raise AssertionError(f"{b} does not divide {a}")
-    return RationalPolynomial(q)
+    return RationalPolynomial(_gcd(list(a.coefficients), list(b.coefficients)))
 
 
 def squarefree_factors(
@@ -246,19 +299,19 @@ def squarefree_factors(
     """
     if p.degree < 1:
         raise ValueError(f"needs a nonconstant polynomial, got {p}")
-    f = monic(p)
+    f = _monic(list(p.coefficients))
     df = _derivative(f)
-    g = polynomial_gcd(f, df)
+    g = _gcd(f, df)
     b = _exact_quotient(f, g)
-    d = _exact_quotient(df, g) - _derivative(b)
+    d = _poly_sub(_exact_quotient(df, g), _derivative(b))
     factors = []
     multiplicity = 1
-    while b.degree > 0:
-        a = polynomial_gcd(b, d)
-        if a.degree > 0:
-            factors.append((a, multiplicity))
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((RationalPolynomial(a), multiplicity))
         b = _exact_quotient(b, a)
-        d = _exact_quotient(d, a) - _derivative(b)
+        d = _poly_sub(_exact_quotient(d, a), _derivative(b))
         multiplicity += 1
     return tuple(factors)
 
@@ -267,7 +320,7 @@ def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     """p / gcd(p, p'): the product of the squarefree factors of a
     nonconstant p, times its leading coefficient."""
     lead = RationalPolynomial((p.coefficients[-1],))
-    return prod((g for g, _ in squarefree_factors(p)), start=lead)
+    return product(lead, *(g for g, _ in squarefree_factors(p)))
 
 
 def random_fraction(rng, max_abs_num: int = 9, max_den: int = 4) -> Fraction:

@@ -30,6 +30,7 @@ from invsub.spectrum import (
 from _oracles import (
     companion_matrix,
     power,
+    product,
     random_invertible_matrix,
     random_rational_matrix,
     real_divisor_count,
@@ -144,7 +145,7 @@ class TestJordanSignatureOfMatrix:
     def test_mixed_repeated_pair(self):
         # char poly (x^2+1)^2 (x-3): one real root of multiplicity 1,
         # one conjugate pair of multiplicity 2
-        p = power(poly(1, 0, 1), 2) * poly(-3, 1)
+        p = product(power(poly(1, 0, 1), 2), poly(-3, 1))
         sig = count_invariant_subspaces(companion_matrix(p)).signature
         assert sig.real_multiplicities == (1,)
         assert sig.complex_pair_multiplicities == (2,)
@@ -167,10 +168,9 @@ class TestJordanSignatureOfMatrix:
     @settings(max_examples=60)
     def test_matches_yun_then_sturm(self, pieces):
         # companion matrix of prod g_i^(m_i), g_i monic and made squarefree
-        p = RationalPolynomial.one()
-        for low, multiplicity in pieces:
-            g = RationalPolynomial(low + [1])
-            p = p * power(squarefree_part(g), multiplicity)
+        p = product(
+            *(power(squarefree_part(poly(*low, 1)), multiplicity) for low, multiplicity in pieces)
+        )
         if p.degree < 1:
             return
         real, pairs = [], []
@@ -372,7 +372,10 @@ class TestMetamorphic:
     @given(analyzable_matrices(), nonzero_rationals, shifts)
     @settings(max_examples=60)
     def test_scale_and_shift(self, a, d, c):
-        moved = a.scaled(d) + RationalMatrix.identity(a.n).scaled(c)
+        moved = RationalMatrix(
+            [d * x + (c if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(a.entries)
+        )
         assert analysis(moved) == analysis(a)
 
     @given(analyzable_matrices())
