@@ -12,8 +12,7 @@ multiplicity level: the Sturm chain of f, which ends in gcd(f, f'),
 then that of the gcd, and so on.  A squarefree polynomial needs one.
 """
 
-from dataclasses import dataclass
-
+from ._value import FrozenValue
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
@@ -23,8 +22,7 @@ from .exactalg import (
 from .spectrum import BlockConfig, count_for_config, dimension_profile
 
 
-@dataclass(frozen=True)
-class SubspaceCount:
+class SubspaceCount(FrozenValue):
     """Result of an analysis: either infinite, or the signature and
     dimension profile of a finite count.
 
@@ -33,14 +31,23 @@ class SubspaceCount:
     cross-checks it once, when the result is built.
     """
 
-    signature: BlockConfig | None = None
-    profile: tuple[int, ...] | None = None
+    signature: BlockConfig | None
+    profile: tuple[int, ...] | None
+    __match_args__ = ("signature", "profile")
 
-    def __post_init__(self) -> None:
-        if (self.signature is None) != (self.profile is None):
+    def __init__(
+        self,
+        signature: BlockConfig | None = None,
+        profile: tuple[int, ...] | None = None,
+    ) -> None:
+        if (signature is None) != (profile is None):
             raise ValueError("finite counts carry a signature and a profile")
-        if self.is_finite and self.count != count_for_config(self.signature):
-            raise ValueError("profile does not sum to the signature product")
+        if profile is not None:
+            profile = tuple(profile)
+            if sum(profile) != count_for_config(signature):
+                raise ValueError("profile does not sum to the signature product")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "profile", profile)
 
     @property
     def count(self) -> int | None:

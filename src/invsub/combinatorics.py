@@ -10,8 +10,9 @@ display).
 """
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
+
+from ._value import FrozenValue
 
 
 def is_partition(parts: Sequence[int]) -> bool:
@@ -81,8 +82,7 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-@dataclass(frozen=True)
-class Multipartition:
+class Multipartition(FrozenValue):
     """An ordered tuple of partitions, one per part of a composition.
 
     ``partitions[i]`` must be a partition of ``composition[i]``; a part
@@ -92,20 +92,24 @@ class Multipartition:
 
     composition: tuple[int, ...]
     partitions: tuple[tuple[int, ...], ...]
+    __match_args__ = ("composition", "partitions")
 
-    def __post_init__(self) -> None:
-        if not is_composition(self.composition):
-            raise ValueError(f"not a composition: {self.composition}")
-        if len(self.partitions) != len(self.composition):
+    def __init__(self, composition, partitions) -> None:
+        composition = tuple(composition)
+        partitions = tuple(map(tuple, partitions))
+        if not is_composition(composition):
+            raise ValueError(f"not a composition: {composition}")
+        if len(partitions) != len(composition):
             raise ValueError(
-                f"expected {len(self.composition)} partitions, "
-                f"got {len(self.partitions)}"
+                f"expected {len(composition)} partitions, got {len(partitions)}"
             )
-        for part, theta in zip(self.composition, self.partitions):
+        for part, theta in zip(composition, partitions):
             if not is_partition(theta):
                 raise ValueError(f"not a partition: {theta}")
             if sum(theta) != part:
                 raise ValueError(f"{theta} is not a partition of {part}")
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "partitions", partitions)
 
     @property
     def n(self) -> int:

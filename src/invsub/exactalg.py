@@ -54,10 +54,11 @@ module's arithmetic.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from ._value import FrozenValue
 
 
 def _integer_form(values: Iterable) -> tuple[int, list[int]]:
@@ -75,21 +76,21 @@ def _integer_form(values: Iterable) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(FrozenValue):
     """Dense polynomial with exact rational coefficients, stored as integers.
 
     A polynomial p is kept as ``RationalMatrix`` keeps a matrix: its
     ``denominator`` d and ``integer_coefficients``, those of dp by
     degree without trailing zeros (none for the zero polynomial, of
-    degree -1).  A frozen dataclass over this canonical form, so
-    equality and hashing compare it, and pickle and copy work; the
-    constructor takes the coefficients themselves.  ``coefficients``
-    builds ``Fraction`` values on demand.
+    degree -1).  Like the package's other frozen value types on one
+    base, it compares, hashes, pickles and copies by its fields, this
+    canonical form; the constructor takes the coefficients themselves.
+    ``coefficients`` builds ``Fraction`` values on demand.
     """
 
     denominator: int
     integer_coefficients: tuple[int, ...]
+    __match_args__ = ("denominator", "integer_coefficients")
 
     def __init__(self, coefficients: Iterable) -> None:
         d, ints = _integer_form(coefficients)
@@ -156,21 +157,21 @@ def _polynomial(p: list[int], d: int) -> RationalPolynomial:
     return RationalPolynomial(p if d == 1 else (Fraction(c, d) for c in p))
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(FrozenValue):
     """Square matrix of exact rationals, stored as integers.
 
     A matrix A is kept as its ``denominator`` d, the lcm of the reduced
     denominators of its entries, and ``integer_rows``, the rows of the
-    integer matrix dA.  A frozen dataclass over this canonical form, so
-    equality and hashing compare it, and pickle and copy work; the
-    constructor takes the rows themselves.  ``entries`` builds the
-    ``Fraction`` rows on demand.  Entries are read by ``_integer_form``,
-    which rejects floats.
+    integer matrix dA.  Like the package's other frozen value types on
+    one base, it compares, hashes, pickles and copies by its fields,
+    this canonical form; the constructor takes the rows themselves.
+    ``entries`` builds the ``Fraction`` rows on demand.  Entries are
+    read by ``_integer_form``, which rejects floats.
     """
 
     denominator: int
     integer_rows: tuple[tuple[int, ...], ...]
+    __match_args__ = ("denominator", "integer_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         rows = [list(row) for row in rows]

@@ -25,16 +25,15 @@ cross-checks.
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import prod
 from operator import lt
 
+from ._value import FrozenValue
 from .combinatorics import is_partition, partitions_of
 from .exactalg import _mul
 
 
-@dataclass(frozen=True)
-class BlockConfig:
+class BlockConfig(FrozenValue):
     """Root-multiplicity configuration of an operator with finitely many
     invariant subspaces.
 
@@ -52,10 +51,14 @@ class BlockConfig:
 
     complex_pair_multiplicities: tuple[int, ...]
     real_multiplicities: tuple[int, ...]
+    __match_args__ = ("complex_pair_multiplicities", "real_multiplicities")
 
-    def __post_init__(self) -> None:
-        for name in ("complex_pair_multiplicities", "real_multiplicities"):
-            parts = tuple(sorted(getattr(self, name), reverse=True))
+    def __init__(self, complex_pair_multiplicities, real_multiplicities) -> None:
+        for name, parts in (
+            ("complex_pair_multiplicities", complex_pair_multiplicities),
+            ("real_multiplicities", real_multiplicities),
+        ):
+            parts = tuple(sorted(parts, reverse=True))
             if not is_partition(parts):
                 raise ValueError(f"invalid multiplicities: {parts}")
             object.__setattr__(self, name, parts)
@@ -70,20 +73,23 @@ class BlockConfig:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumSet:
+class SpectrumSet(FrozenValue):
     """Sorted set of attainable invariant-subspace counts for dimension n."""
 
     n: int
     values: tuple[int, ...]
+    __match_args__ = ("n", "values")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive: {self.n}")
-        if not self.values:
+    def __init__(self, n: int, values) -> None:
+        values = tuple(values)
+        if type(n) is not int or n < 1:
+            raise ValueError(f"dimension must be a positive int: {n!r}")
+        if not values:
             raise ValueError("a spectrum is never empty")
-        if not all(map(lt, self.values, self.values[1:])):
+        if not all(map(lt, values, values[1:])):
             raise ValueError("values must be strictly increasing")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
 
     def __contains__(self, value: int) -> bool:
         i = bisect_left(self.values, value)

@@ -77,6 +77,13 @@ class TestSubspaceCount:
         with pytest.raises(ValueError):
             SubspaceCount.finite(sig, (1, 1, 1))
 
+    def test_stores_a_profile_list_as_a_tuple(self):
+        sig = BlockConfig((), (1, 1))
+        outcome = SubspaceCount.finite(sig, [1, 2, 1])
+        assert outcome.profile == (1, 2, 1)
+        assert outcome == SubspaceCount.finite(sig, (1, 2, 1))
+        assert hash(outcome) == hash(SubspaceCount.finite(sig, (1, 2, 1)))
+
 
 class TestJordanBlocks:
     def test_standard_block_entries(self):

@@ -136,6 +136,13 @@ class TestMultipartition:
         m = Multipartition((0, 4), ((), (4,)))
         assert m.n == 4
 
+    def test_stores_lists_as_tuples(self):
+        m = Multipartition([2, 1], [[1, 1], [1]])
+        assert m.composition == (2, 1)
+        assert m.partitions == ((1, 1), (1,))
+        assert m == Multipartition((2, 1), ((1, 1), (1,)))
+        assert hash(m) == hash(Multipartition((2, 1), ((1, 1), (1,))))
+
     @given(multipartitions())
     def test_total_is_composition_sum(self, m):
         assert m.n == sum(m.composition)

@@ -1,7 +1,9 @@
 import ast
 import copy
+import os
 import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -127,3 +129,126 @@ def test_value_types_copy_pickle_and_stay_frozen(value, field):
     for name in (field, "other"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+_PAIR = invsub.BlockConfig((1,), (2, 1))
+_PINNED_REPRS = [
+    (_PAIR, "BlockConfig(complex_pair_multiplicities=(1,), real_multiplicities=(2, 1))"),
+    (invsub.SpectrumSet(2, (3, 4)), "SpectrumSet(n=2, values=(3, 4))"),
+    (invsub.SubspaceCount(), "SubspaceCount(signature=None, profile=None)"),
+    (
+        invsub.SubspaceCount.finite(invsub.BlockConfig((), (1,)), (1, 1)),
+        "SubspaceCount(signature=BlockConfig(complex_pair_multiplicities=(),"
+        " real_multiplicities=(1,)), profile=(1, 1))",
+    ),
+    (
+        invsub.Multipartition((0, 2), ((), (1, 1))),
+        "Multipartition(composition=(0, 2), partitions=((), (1, 1)))",
+    ),
+    (invsub.RationalPolynomial([1, "-1/2"]), "RationalPolynomial(-1/2*x + 1)"),
+    (invsub.RationalMatrix([[1, "1/2"], [0, 3]]), "RationalMatrix([[1, 1/2], [0, 3]])"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text", _PINNED_REPRS, ids=[type(value).__name__ for value, _ in _PINNED_REPRS]
+)
+def test_value_type_reprs(value, text):
+    assert repr(value) == text
+
+
+def test_value_types_take_keywords():
+    profile = invsub.dimension_profile(_PAIR)
+    assert invsub.BlockConfig(complex_pair_multiplicities=(1,), real_multiplicities=(1, 2)) == _PAIR
+    assert invsub.SpectrumSet(n=2, values=(3, 4)) == invsub.SpectrumSet(2, (3, 4))
+    assert invsub.Multipartition(composition=(2,), partitions=((2,),)).partitions == ((2,),)
+    assert invsub.SubspaceCount(signature=_PAIR, profile=profile).count == 12
+    assert invsub.RationalPolynomial(coefficients=[0, 1]).degree == 1
+    assert invsub.RationalMatrix(rows=[[2]]).n == 1
+
+
+def test_subspace_count_defaults_to_infinite():
+    outcome = invsub.SubspaceCount()
+    assert outcome.signature is None and outcome.profile is None
+    assert outcome == invsub.SubspaceCount.infinite()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: invsub.BlockConfig((1,)),
+        lambda: invsub.BlockConfig((1,), (2,), (3,)),
+        lambda: invsub.BlockConfig((1,), real=(2,)),
+        lambda: invsub.SpectrumSet(2),
+        lambda: invsub.SpectrumSet(2, (3, 4), 5),
+        lambda: invsub.Multipartition((1,)),
+        lambda: invsub.Multipartition((1,), ((1,),), ()),
+        lambda: invsub.SubspaceCount(None, None, None),
+        lambda: invsub.SubspaceCount(count=3),
+        lambda: invsub.RationalPolynomial(),
+        lambda: invsub.RationalPolynomial([1], [2]),
+        lambda: invsub.RationalMatrix(),
+        lambda: invsub.RationalMatrix([[1]], 2),
+    ],
+)
+def test_value_types_reject_missing_and_extra_arguments(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_value_types_match_positional_patterns():
+    match _PAIR:
+        case invsub.BlockConfig(pairs, reals):
+            assert (pairs, reals) == ((1,), (2, 1))
+    match invsub.SpectrumSet(2, (3, 4)):
+        case invsub.SpectrumSet(n, values):
+            assert (n, values) == (2, (3, 4))
+    match invsub.Multipartition((2,), ((1, 1),)):
+        case invsub.Multipartition(composition, partitions):
+            assert (composition, partitions) == ((2,), ((1, 1),))
+    match invsub.SubspaceCount():
+        case invsub.SubspaceCount(None, None):
+            pass
+        case _:
+            pytest.fail("SubspaceCount() did not match (None, None)")
+    match invsub.RationalPolynomial(["1/2", 1]):
+        case invsub.RationalPolynomial(denominator, coefficients):
+            assert (denominator, coefficients) == (2, (1, 2))
+    match invsub.RationalMatrix([["1/3"]]):
+        case invsub.RationalMatrix(denominator, rows):
+            assert (denominator, rows) == (3, ((1,),))
+
+
+def test_value_types_equal_only_their_own_class():
+    assert (_PAIR == ((1,), (2, 1))) is False
+    assert invsub.BlockConfig((1,), (2,)) != ((1,), (2,))
+    assert invsub.BlockConfig.__eq__(_PAIR, ((1,), (2, 1))) is NotImplemented
+    assert invsub.SpectrumSet(2, (3, 4)) != (2, (3, 4))
+    # same field values, other class
+    assert invsub.SpectrumSet(1, (1, 2)) != invsub.RationalPolynomial([1, 2])
+
+    class Subclass(invsub.BlockConfig):
+        pass
+
+    assert Subclass((1,), (2, 1)) != _PAIR
+
+
+@pytest.mark.parametrize(
+    "value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES]
+)
+def test_value_types_refuse_deletion(value, field):
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert hasattr(value, field)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost startup time in every CLI process; -S keeps site hooks out
+    code = "import sys, invsub, invsub.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(invsub.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "invsub.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()

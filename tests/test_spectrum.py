@@ -183,6 +183,16 @@ class TestSpectrumSet:
         assert s.values == (2,)
         assert 2 in s
 
+    def test_stores_a_list_as_a_tuple(self):
+        s = SpectrumSet(4, [3, 4, 5])
+        assert s.values == (3, 4, 5)
+        assert s == SpectrumSet(4, (3, 4, 5))
+        assert hash(s) == hash(SpectrumSet(4, (3, 4, 5)))
+
+    def test_rejects_bool_dimension(self):
+        with pytest.raises(ValueError):
+            SpectrumSet(True, (2,))
+
     def test_membership_and_iteration(self):
         s = attainable_counts(4)
         assert 9 in s
