@@ -11,11 +11,18 @@ result once and renders it as text or as a JSON report, and its
 subparser runs it (``set_defaults``) and raises all its usage errors.
 A report's ``input_sha256`` digests the input file's bytes for
 ``analyze`` and the canonical JSON of the parameters otherwise.
+
+Each run of the tool is a fresh process that pays at startup for every
+module imported here, so this module imports only what every command
+uses.  The rest of the standard library loads in the function that
+needs it: ``argparse`` in ``build_parser`` and
+``_positive_int``, ``json`` in the JSON branch of
+``parse_matrix_document``, the non-rational-entry error of
+``_parse_cell`` and ``_report``, and ``hashlib`` (with OpenSSL behind
+it) in ``_report``.  A text command on a text document loads neither
+``json`` nor ``hashlib``.
 """
 
-import argparse
-import hashlib
-import json
 import os
 import re
 import sys
@@ -83,6 +90,8 @@ def _parse_cell(cell, row: int, col: int) -> int | Fraction:
             ) from None
     if type(cell) is int:
         return cell
+    import json
+
     raise MatrixInputError(
         f"row {row}, column {col}: entry {_quoted(json.dumps(cell))} "
         "is not an exact rational"
@@ -96,6 +105,8 @@ def parse_matrix_document(text: str) -> RationalMatrix:
     LF, CRLF or CR only, and blank lines are skipped.  Both forms read
     every cell through one reader, ``_parse_cell``."""
     if text.lstrip()[:1] in ("[", "{"):
+        import json
+
         try:
             rows = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -130,6 +141,9 @@ def parse_matrix_document(text: str) -> RationalMatrix:
 
 def _report(command: str, params: dict, result: dict, raw: bytes | None = None) -> str:
     # ``raw``, the bytes of the input file, is given by analyze only
+    import hashlib
+    import json
+
     if raw is None:
         raw = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
     document = {
@@ -252,6 +266,8 @@ def cmd_selfcheck(max_n: int, fmt: str) -> tuple[str, int]:
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -261,7 +277,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="invsub",
         description="Exact enumeration and counting of invariant subspaces of R^n.",

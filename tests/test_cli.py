@@ -447,6 +447,60 @@ def test_closed_pipe_ends_silently():
     assert status == 1
 
 
+# invsub.cli loads argparse, json and hashlib inside the functions that
+# use them, and this module has all three loaded already; so these run
+# the tool in a fresh interpreter, where a missing local import fails.
+# -S keeps site hooks from loading any of them first.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_fresh(*argv, cwd=GOLDEN / "inputs"):
+    src = Path(invsub.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "invsub.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_fresh_process_report_digests_the_input_file():
+    done = run_fresh("analyze", "integer.txt", "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    raw = (GOLDEN / "inputs" / "integer.txt").read_bytes()
+    assert json.loads(done.stdout)["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", "pairs.json"], "analyze-pairs.text"),
+        (["spectrum", "4", "--format", "json"], "spectrum-4.json"),
+    ],
+    ids=["json-document", "json-report"],
+)
+def test_fresh_process_output_is_golden(argv, expected):
+    done = run_fresh(*argv)
+    golden = (GOLDEN / "expected" / expected).read_text(encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden, "")
+
+
+def test_fresh_process_non_rational_json_entry(tmp_path):
+    (tmp_path / "matrix.json").write_text("[[1.5]]")
+    done = run_fresh("analyze", "matrix.json", cwd=tmp_path)
+    message = "error: row 1, column 1: entry '1.5' is not an exact rational\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+
+
+def test_fresh_process_usage_error():
+    done = run_fresh("spectrum", "0")
+    golden = (GOLDEN / "expected" / "spectrum-0.stderr").read_text(encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", golden)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:

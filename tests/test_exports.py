@@ -252,3 +252,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(done.stdout.split())
     assert "invsub.cli" in loaded
     assert {"dataclasses", "inspect"} & loaded == set()
+
+
+def test_import_loads_neither_argparse_json_nor_hashlib():
+    # invsub.cli loads them in the functions that use them; hashlib
+    # brings OpenSSL's _hashlib with it
+    code = "import sys, invsub, invsub.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(invsub.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "invsub.cli" in loaded
+    assert {"argparse", "json", "hashlib", "_hashlib"} & loaded == set()
