@@ -20,19 +20,23 @@ Each operation has one implementation:
   one of A.  The value types carry only the arithmetic that the
   library's two questions and their checks use: ``divmod`` and ``%``
   of polynomials, and ``*``, ``inverse`` and ``identity`` of matrices.
-* Krylov chains v, Av, A^2 v, ... run through one column-wise
-  fraction-free (Bareiss) elimination: each vector enters as a new
-  column, passes through the earlier elimination steps and becomes a
-  step of its own while it is independent.  Back substitution through
-  the fixed entries of the chain's columns turns the first dependent
-  vector into the chain's monic integer polynomial.
-* One loop, ``_chains``, runs the chains of the start vectors
-  (1, 2, ..., n), e_1, ..., e_n, each modulo the span of the earlier
-  ones; it skips a vector inside that span and stops when the span is
-  full.  ``char_poly`` is the product of their polynomials
-  (Keller-Gehrig).  ``min_poly`` is the lcm of the minimal polynomials
-  of those vectors: after the first, a vector v extends the lcm mu by
-  the chain of mu(A) v, and the search stops once the degree reaches n.
+* Krylov chains v, Bv, B^2 v, ... of B = dA run through one
+  elimination modulo a prime p < 2^30, ``_Elimination``: an LU of the
+  vectors entered so far, built one vector at a time, in which each row
+  of a vector is reduced once, by one sum of products mod p.
+  ``_krylov`` enters a chain until a vector depends on the earlier ones.
+  The primes come from ``_primes``, in a fixed order.
+* The start vectors (1, 2, ..., n), e_1, ..., e_n enter one such
+  elimination, each chain after the earlier ones, until it is full.
+  ``char_poly`` multiplies the chains' quotient polynomials mod p
+  (Keller-Gehrig over F_p) and combines primes by the CRT up to a
+  Hadamard bound.  ``min_poly`` takes the lcm of the minimal
+  polynomials of those vectors: after the first, a vector v extends the
+  lcm mu by the chain of mu(A) v, on an elimination of its own.
+  ``_lifted`` lifts each chain's polynomial from its LU mod p to Z
+  p-adically (Dixon) and accepts it only on an exact zero residual, so
+  the answer is certified; a prime that fails restarts the search with
+  the next one.
 * ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
   vector and ``evaluate_at_matrix`` to each unit vector.
   ``RationalMatrix.inverse`` has no elimination of its own: writing
@@ -47,15 +51,16 @@ Each operation has one implementation:
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
 the characteristic polynomial, the first dependence among flattened
-matrix powers for the minimal polynomial, and Euclid's gcd with Yun's
-loop over Q for the squarefree factors.  They run on ``Fraction`` rows
-and coefficient lists of their own, so none of them shares this
-module's arithmetic.
+matrix powers for the minimal polynomial, a fraction-free (Bareiss)
+Krylov elimination over Z for both, and Euclid's gcd with Yun's loop
+over Q for the squarefree factors.  They run on ``Fraction`` rows,
+integer lists and coefficient lists of their own, so none of them
+shares this module's arithmetic.
 """
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from ._value import FrozenValue
@@ -346,7 +351,7 @@ def _real_root_count(sturm: list[list[int]]) -> int:
     return variations(at_neg) - variations(at_pos)
 
 
-# ---- Krylov elimination ----------------------------------------------------
+# ---- Krylov chains modulo a prime ------------------------------------------
 
 
 def _rescaled(q: list[int], d: int) -> RationalPolynomial:
@@ -355,86 +360,144 @@ def _rescaled(q: list[int], d: int) -> RationalPolynomial:
     return _polynomial([c * d**k for k, c in enumerate(q)], q[-1] * d ** (len(q) - 1))
 
 
-class _Basis:
-    """A column-wise fraction-free (Bareiss) elimination of independent
-    integer vectors, ready to take one more.
-
-    Rows are permuted by ``order`` so that the pivot of step j sits in
-    row j.  ``columns[j]`` is the j-th vector entered, reduced by steps
-    0..j-1: entries 0..j-1 were fixed by those steps, entry j is the
-    pivot of step j and entries j+1.. are its multipliers on the rows
-    still live at step j.
-    """
-
-    __slots__ = ("order", "columns")
-
-    def __init__(self, n: int) -> None:
-        self.order = list(range(n))
-        self.columns: list[list[int]] = []
-
-
-def _reduce(x: list[int], basis: _Basis) -> list[int]:
-    """Pass a new column x through the Bareiss steps of ``basis``.
-
-    Step j fixes the entry in its pivot row j and updates only the live
-    rows j+1.., multiplying by the pivot p_j and dividing exactly by
-    the previous pivot, so every entry stays a minor of the input
-    vectors.  A zero entry in the pivot row leaves nothing to subtract,
-    but the live rows are still rescaled by p_j / p_{j-1}.  Returns the
-    reduced column: entries 0..k-1 fixed, k.. live, where k is the
-    number of columns of ``basis``; x lies in their span exactly when
-    the live entries are all zero.
-    """
-    c = [x[i] for i in basis.order]
-    previous = 1
-    for j, column in enumerate(basis.columns):
-        p, f = column[j], c[j]
-        if f:
-            c[j + 1:] = [
-                (p * y - f * m) // previous for y, m in zip(c[j + 1:], column[j + 1:])
-            ]
-        elif p != previous:
-            c[j + 1:] = [p * y // previous for y in c[j + 1:]]
-        previous = p
-    return c
-
-
-def _krylov(b: list[list[int]], v: list[int], basis: _Basis) -> list[int]:
-    """Krylov elimination of v, Bv, B^2 v, ... modulo the span of ``basis``.
-
-    Each vector continues the elimination of ``basis`` as a new column
-    and, while independent, joins it as a new step with its pivot
-    swapped into row k.  The first dependent vector B^k v has all live
-    entries zero; back substitution through the fixed entries of the
-    chain's columns gives its coefficients y_i on the chain vectors
-    B^i v.  Returns q = x^k - sum_i y_i x^i, the least-degree monic q
-    with q(B) v in span(basis), and leaves the chain in ``basis``.
-
-    The back substitution divides exactly.  ``basis`` holds whole
-    Krylov chains, so its span is B-invariant and q divides the minimal
-    polynomial of the integer matrix B, which is monic in Z[x]; by
-    Gauss's lemma the y_i are integers.
-    """
-    start = len(basis.columns)
-    x = v
+def _primes() -> Iterator[int]:
+    """The primes below 2^30, largest first.  The first is a constant;
+    the rest are found on demand by Miller-Rabin to the bases 2, 3, 5
+    and 7, which decide every odd number below 3,215,031,751."""
+    m = 1073741789  # 2^30 - 35
+    yield m
     while True:
-        c = _reduce(x, basis)
-        k = len(basis.columns)
-        pivot = next((i for i in range(k, len(c)) if c[i]), None)
-        if pivot is None:
-            break
-        basis.columns.append(c)
-        if pivot != k:
-            for column in basis.columns:
-                column[k], column[pivot] = column[pivot], column[k]
-            basis.order[k], basis.order[pivot] = basis.order[pivot], basis.order[k]
-        x = [sum(map(mul, row, x)) for row in b]
-    columns = basis.columns
-    y = [0] * (k - start)
-    for i in range(k - 1, start - 1, -1):
-        rest = c[i] - sum(columns[j][i] * y[j - start] for j in range(i + 1, k))
-        y[i - start] = rest // columns[i][i]
-    return [-t for t in y] + [1]
+        m -= 2
+        s = ((m - 1) & (1 - m)).bit_length() - 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, (m - 1) >> s, m)
+            if x == 1:
+                continue
+            for _ in range(s):
+                if x == m - 1:
+                    break
+                x = x * x % m
+            else:
+                break
+        else:
+            yield m
+
+
+class _Elimination:
+    """An LU factorization modulo a prime p of the independent vectors
+    entered so far, ready to take one more.
+
+    The vectors are the columns of an n x k matrix X = LU.  Column j
+    has its pivot in row ``pivots[j]``.  ``lower[r]`` is row r of L
+    without its unit entry: j multipliers for the pivot row of column j,
+    k for a row not yet a pivot row (those are listed in ``free``).
+    ``upper[j]`` holds the entries of row j of U right of the diagonal,
+    and ``inverses[j]`` the inverse of its diagonal entry.  Vectors are
+    integer lists of any size: each row is reduced once, as one sum of
+    products taken mod p.
+    """
+
+    __slots__ = ("p", "lower", "free", "pivots", "upper", "inverses")
+
+    def __init__(self, n: int, p: int) -> None:
+        self.p = p
+        self.lower: list[list[int]] = [[] for _ in range(n)]
+        self.free = list(range(n))
+        self.pivots: list[int] = []
+        self.upper: list[list[int]] = []
+        self.inverses: list[int] = []
+
+    def _forward(self, x: list[int]) -> list[int]:
+        """c with L c = x on the pivot rows, mod p."""
+        p, lower = self.p, self.lower
+        c: list[int] = []
+        for r in self.pivots:
+            c.append((x[r] - sum(map(mul, lower[r], c))) % p)
+        return c
+
+    def _back(self, c: list[int]) -> list[int]:
+        """y with U y = c, mod p."""
+        p, upper, inverses = self.p, self.upper, self.inverses
+        y = [0] * len(c)
+        for j in range(len(c) - 1, -1, -1):
+            y[j] = (c[j] - sum(map(mul, upper[j], y[j + 1:]))) * inverses[j] % p
+        return y
+
+    def solve(self, x: list[int]) -> list[int]:
+        """The coefficients mod p on the vectors entered of the vector
+        in their span that agrees with x on the pivot rows."""
+        return self._back(self._forward(x))
+
+    def enter(self, x: list[int]) -> list[int] | None:
+        """Enter x if it is independent mod p of the vectors entered and
+        return None; otherwise return its coefficients on them."""
+        p, lower, free = self.p, self.lower, self.free
+        c = self._forward(x)
+        rest = [(x[r] - sum(map(mul, lower[r], c))) % p for r in free]
+        i = next((i for i, e in enumerate(rest) if e), None)
+        if i is None:
+            return self._back(c)
+        inverse = pow(rest.pop(i), -1, p)
+        self.pivots.append(free.pop(i))
+        for r, e in zip(free, rest):
+            lower[r].append(e * inverse % p)
+        for row, u in zip(self.upper, c):
+            row.append(u)
+        self.upper.append([])
+        self.inverses.append(inverse)
+        return None
+
+
+def _modular(b: list[list[int]], p: int) -> Callable:
+    """x -> Bx mod p for the integer matrix B."""
+    bp = [[x % p for x in row] for row in b]
+    return lambda x: [sum(map(mul, row, x)) % p for row in bp]
+
+
+def _krylov(step: Callable, x: list[int], lu: _Elimination) -> tuple[list[list[int]], list[int]]:
+    """Enter x, step(x), step(step(x)), ... into ``lu`` until one
+    depends mod p on the vectors entered.  Returns the chain, with that
+    vector last, and its coefficients on the vectors entered."""
+    chain = [x]
+    while (y := lu.enter(x)) is None:
+        x = step(x)
+        chain.append(x)
+    return chain, y
+
+
+def _lifted(b: list[list[int]], chain: list[list[int]], y: list[int], lu: _Elimination) -> list[int] | None:
+    """The minimal polynomial of the integer vector w under B from its
+    Krylov chain w, Bw, ..., B^k w, or None when the prime p of ``lu``
+    is unlucky for w.
+
+    ``lu`` holds the first k vectors of the chain, independent mod p,
+    and y the coefficients mod p of B^k w on them.  y is lifted
+    p-adically (Dixon): each balanced digit solves the residual mod p
+    through the same LU, and the exact integer residual
+    B^k w - sum_i y_i B^i w is divided by p.  A zero residual proves the
+    relation over Z.  The coefficients of a relation of degree k are
+    those of a monic factor of the minimal polynomial of B, whose roots
+    are eigenvalues of B, at most R = max_i sum_j |b_ij| in absolute
+    value; so they are at most (1 + R)^k.  A residual not divisible by
+    p, or one still nonzero once p^m exceeds twice that bound, proves
+    that there is no relation of degree k: p is unlucky.
+    """
+    p = lu.p
+    *vectors, x = chain
+    rows = list(zip(*vectors)) if vectors else [()] * len(x)
+    limit = 2 * (1 + max(sum(map(abs, row)) for row in b)) ** len(vectors)
+    total, scale = [0] * len(y), 1
+    while True:
+        digits = [c - p if 2 * c > p else c for c in y]
+        x = [t - sum(map(mul, row, digits)) for t, row in zip(x, rows)]
+        total = [t + scale * c for t, c in zip(total, digits)]
+        scale *= p
+        if not any(x):
+            return [-t for t in total] + [1]
+        if scale > limit or any(t % p for t in x):
+            return None
+        x = [t // p for t in x]
+        y = lu.solve(x)
 
 
 def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
@@ -446,8 +509,8 @@ def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
     return acc
 
 
-def _start_vectors(n: int) -> list[list[int]]:
-    """(1, 2, ..., n), then e_1, ..., e_n.
+def _start_vectors(n: int) -> Iterator[list[int]]:
+    """(1, 2, ..., n), then e_1, ..., e_n, each built when it is reached.
 
     The unit vectors span the space, so the Krylov spaces of the list do
     too.  The dense first vector generates the whole space for most
@@ -455,64 +518,98 @@ def _start_vectors(n: int) -> list[list[int]]:
     vectors lie in small invariant subspaces; then one Krylov chain
     decides the matrix.
     """
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    return [list(range(1, n + 1))] + units
-
-
-def _chains(a: RationalMatrix) -> Iterator[tuple[list[int], list[int]]]:
-    """Krylov chains of the start vectors, each modulo the earlier ones.
-
-    Yields (v, q) for each start vector v outside the span of the
-    earlier chains, q being its polynomial modulo that span, and stops
-    once the span is the whole space.
-    """
-    n = a.n
-    basis = _Basis(n)
-    for v in _start_vectors(n):
-        before = len(basis.columns)
-        q = _krylov(a.integer_rows, v, basis)
-        if len(basis.columns) > before:
-            yield v, q
-        if len(basis.columns) == n:
-            return
+    yield list(range(1, n + 1))
+    for i in range(n):
+        yield [int(i == j) for j in range(n)]
 
 
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - A), monic of degree n.
 
-    Krylov chains from the start vectors, each reduced against the
-    earlier ones, put A in block triangular form with companion blocks;
-    the characteristic polynomial is the product of the chains' quotient
-    polynomials (Keller-Gehrig).
+    Modulo a prime p, the Krylov chains of the start vectors, each
+    entered into one elimination after the earlier ones, put B = dA in
+    block triangular form with companion blocks: det(xI - B) is the
+    product of the chains' quotient polynomials, x^k minus the
+    coefficients of the vector that ends a chain on the chain's own
+    vectors (Keller-Gehrig).  That holds over F_p for every p, so no
+    prime is unlucky.  The residues combine by the CRT until the
+    product of the primes exceeds 2 prod_i (||row_i|| + 1), which bounds
+    every coefficient of det(xI - B): the coefficient of x^k sums the
+    principal minors of order n - k, and Hadamard's inequality bounds
+    each by the product of its rows' norms.
     """
-    poly = [1]
-    for _, q in _chains(a):
-        poly = _mul(poly, q)
-    return _rescaled(poly, a.denominator)
+    b, n = a.integer_rows, a.n
+    bound = 2 * prod(isqrt(sum(x * x for x in row)) + 2 for row in b)
+    poly, modulus = [0] * (n + 1), 1
+    for p in _primes():
+        step = _modular(b, p)
+        span = _Elimination(n, p)
+        residues = [1]
+        for v in _start_vectors(n):
+            start = len(span.pivots)
+            _, y = _krylov(step, v, span)
+            residues = [c % p for c in _mul(residues, [-c for c in y[start:]] + [1])]
+            if len(span.pivots) == n:
+                break
+        inverse = pow(modulus, -1, p)
+        poly = [c + modulus * ((r - c) * inverse % p) for c, r in zip(poly, residues)]
+        modulus *= p
+        if modulus > bound:
+            poly = [c - modulus if 2 * c > modulus else c for c in poly]
+            return _rescaled(poly, a.denominator)
+
+
+def _minimal(b: list[list[int]], p: int) -> list[int] | None:
+    """The minimal polynomial of the integer matrix B from Krylov chains
+    mod p and their lifts, or None when p is unlucky."""
+    n = len(b)
+    step = _modular(b, p)
+    span = _Elimination(n, p)
+    mu = [1]
+    for v in _start_vectors(n):
+        if span.pivots:
+            start = len(span.pivots)
+            _krylov(step, v, span)
+            if len(span.pivots) == start:
+                continue
+            lu, v = _Elimination(n, p), _horner(mu, b, v)
+        else:
+            lu = span
+        q = _lifted(b, *_krylov(lambda x: [sum(map(mul, row, x)) for row in b], v, lu), lu)
+        if q is None:
+            return None
+        mu = _mul(mu, q)
+        if len(mu) > n or len(span.pivots) == n:
+            return mu
 
 
 def min_poly(a: RationalMatrix) -> RationalPolynomial:
     """Minimal polynomial: the monic annihilator of least degree.
 
-    The lcm of the minimal polynomials of the start vectors.  A vector
-    in the span of the earlier Krylov spaces is skipped: that span is
-    A-invariant, so the vector's minimal polynomial already divides the
-    lcm.  The first chain's polynomial is its vector's minimal
-    polynomial.  For a later vector v and the lcm mu so far,
-    lcm(mu, mu_v) = mu times the minimal polynomial of mu(A) v, so one
-    Krylov chain of mu(A) v on its own covers the new part of the lcm;
-    it ends at once when mu(A) v = 0.  The search ends once the degree
-    reaches n, which certifies that A is nonderogatory, or once the
-    Krylov spaces fill the whole space.
+    The lcm of the minimal polynomials of the start vectors.  For a
+    later vector v and the lcm mu so far, lcm(mu, mu_v) = mu times the
+    minimal polynomial of mu(A) v, so one Krylov chain of mu(A) v, on an
+    elimination of its own, covers the new part of the lcm; it ends at
+    once when mu(A) v = 0.  The chains of the start vectors themselves
+    enter one more elimination, their span.  Each chain's polynomial is
+    lifted from a prime p by ``_lifted``, and the answer is certified:
+
+    1. Vectors independent mod p are independent over Q, since a minor
+       that is nonzero mod p is nonzero.
+    2. So a chain w, Bw, ..., B^(k-1) w independent mod p whose exact
+       residual B^k w - sum_i y_i B^i w is zero has exactly the minimal
+       polynomial x^k - sum_i y_i x^i of w.
+    3. A full span mod p means, by 1, that the chains processed span
+       Q^n.  The lcm annihilates their start vectors, so it annihilates
+       B, and as an lcm of factors of the minimal polynomial it is the
+       minimal polynomial.  Skipping a start vector that lies in the
+       span mod p is therefore safe.  The search also ends once the
+       degree reaches n, which certifies that A is nonderogatory.
+
+    A prime for which a lift fails is unlucky, and the search starts
+    again with the next prime from ``_primes``.
     """
-    b = a.integer_rows
-    mu = [1]
-    for i, (v, q) in enumerate(_chains(a)):
-        if i:
-            q = _krylov(b, _horner(mu, b, v), _Basis(a.n))
-        mu = _mul(mu, q)
-        if len(mu) > a.n:
-            break
+    mu = next(filter(None, (_minimal(a.integer_rows, p) for p in _primes())))
     return _rescaled(mu, a.denominator)
 
 

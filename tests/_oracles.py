@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity by a different route than the library
 (cofactor expansion and the Faddeev-LeVerrier recurrence instead of
-integer Krylov elimination, flattened matrix powers instead of vector
-Krylov chains, direct enumeration instead of polynomial convolution, a
+Krylov chains modulo a prime, flattened matrix powers instead of vector
+Krylov chains, a fraction-free elimination over Z instead of an LU mod
+p with p-adic lifting, direct enumeration instead of polynomial convolution, a
 DP table instead of the pentagonal recurrence, a recurrence over every
 dimension instead of over half-dimensions, nested partition loops
 instead of grouping the configuration stream, Euclid's gcd and Yun's
@@ -12,8 +13,9 @@ agreement is evidence, not tautology.
 
 The algebra oracles run on plain ``Fraction`` rows and coefficient
 lists, read from ``RationalMatrix.entries`` and
-``RationalPolynomial.coefficients``, with this module's own product,
-difference and long division; they build a value type only for the
+``RationalPolynomial.coefficients``, or on integer rows made from them,
+with this module's own product, difference, long division and
+elimination; they build a value type only for the
 result they return, so they share no arithmetic with ``invsub``.
 A coefficient list is indexed by degree and has no trailing zeros; the
 zero polynomial is the empty list.
@@ -22,7 +24,7 @@ zero polynomial is the empty list.
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import prod
+from math import lcm, prod
 
 from invsub.combinatorics import partitions_of
 from invsub.exactalg import RationalMatrix, RationalPolynomial
@@ -155,6 +157,118 @@ def min_poly_flattened_powers(a: RationalMatrix) -> RationalPolynomial:
         )
         power = _matrix_mul(power, entries)
         degree += 1
+
+
+# ---- fraction-free Krylov elimination over Z --------------------------------
+#
+# The route exactalg took before its modular one: integer lists of the
+# oracle's own, made from the Fraction entries.
+
+
+def _integer_rows(a: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(d, the rows of dA), d the lcm of the entries' denominators."""
+    entries = a.entries
+    d = lcm(*(x.denominator for row in entries for x in row))
+    return d, [[int(x * d) for x in row] for row in entries]
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _monic_of_scaled(q: list[int], d: int) -> RationalPolynomial:
+    """The monic polynomial of A from an integer polynomial q of dA."""
+    return RationalPolynomial(
+        [Fraction(c * d**k, q[-1] * d ** (len(q) - 1)) for k, c in enumerate(q)]
+    )
+
+
+def _bareiss_chain(b: list[list[int]], v: list[int], order: list[int], columns: list[list[int]]) -> list[int]:
+    """The Krylov chain v, Bv, ... modulo the span of ``columns``, a
+    column-wise fraction-free (Bareiss) elimination whose pivot of step
+    j sits in row j of the rows permuted by ``order``.
+
+    Each vector passes through the steps as a new column: step j fixes
+    entry j and updates rows j+1.. by (p_j y - f m) / p_(j-1), exactly,
+    so every entry is a minor.  While some live entry is nonzero, the
+    column becomes a step with that entry's row swapped into place.  The
+    first vector with no live entry left, B^k v, gives by back
+    substitution through the fixed entries of the chain's columns its
+    integer coefficients on the chain, and q = x^k - sum_i y_i x^i is
+    returned, the chain left in ``columns``.
+    """
+    start = len(columns)
+    x = v
+    while True:
+        c = [x[i] for i in order]
+        previous = 1
+        for j, column in enumerate(columns):
+            p, f = column[j], c[j]
+            c[j + 1:] = [(p * y - f * m) // previous for y, m in zip(c[j + 1:], column[j + 1:])]
+            previous = p
+        k = len(columns)
+        pivot = next((i for i in range(k, len(c)) if c[i]), None)
+        if pivot is None:
+            break
+        columns.append(c)
+        for column in columns:
+            column[k], column[pivot] = column[pivot], column[k]
+        order[k], order[pivot] = order[pivot], order[k]
+        x = [sum(r * t for r, t in zip(row, x)) for row in b]
+    y = [0] * (k - start)
+    for i in range(k - 1, start - 1, -1):
+        rest = c[i] - sum(columns[j][i] * y[j - start] for j in range(i + 1, k))
+        y[i - start] = rest // columns[i][i]
+    return [-t for t in y] + [1]
+
+
+def _bareiss_chains(b: list[list[int]]):
+    """(v, q) for each start vector (1, ..., n), e_1, ..., e_n outside
+    the span of the earlier chains, q its chain's polynomial modulo that
+    span; stops once the span is full."""
+    n = len(b)
+    order: list[int] = list(range(n))
+    columns: list[list[int]] = []
+    starts = [list(range(1, n + 1))] + [[int(i == j) for j in range(n)] for i in range(n)]
+    for v in starts:
+        before = len(columns)
+        q = _bareiss_chain(b, v, order, columns)
+        if len(columns) > before:
+            yield v, q
+        if len(columns) == n:
+            return
+
+
+def char_poly_bareiss(a: RationalMatrix) -> RationalPolynomial:
+    """det(x*I - A) as the product of the chains' polynomials
+    (Keller-Gehrig) in one fraction-free elimination over Z."""
+    d, b = _integer_rows(a)
+    poly = [1]
+    for _, q in _bareiss_chains(b):
+        poly = _int_poly_mul(poly, q)
+    return _monic_of_scaled(poly, d)
+
+
+def min_poly_bareiss(a: RationalMatrix) -> RationalPolynomial:
+    """The lcm of the start vectors' minimal polynomials: a later vector
+    v adds the chain of mu(B) v on a fresh elimination."""
+    d, b = _integer_rows(a)
+    n = len(b)
+    mu = [1]
+    for i, (v, q) in enumerate(_bareiss_chains(b)):
+        if i:
+            w = [0] * n
+            for c in reversed(mu):
+                w = [sum(r * t for r, t in zip(row, w)) + c * x for row, x in zip(b, v)]
+            q = _bareiss_chain(b, w, list(range(n)), [])
+        mu = _int_poly_mul(mu, q)
+        if len(mu) > n:
+            break
+    return _monic_of_scaled(mu, d)
 
 
 def brute_force_profile(config: BlockConfig) -> tuple[int, ...]:

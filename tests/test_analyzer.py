@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invsub import analyzer
 from invsub.analyzer import (
     SubspaceCount,
     count_invariant_subspaces,
@@ -283,6 +284,22 @@ class TestCountInvariantSubspaces:
         outcome = count_invariant_subspaces(RationalMatrix([[1, 1], [0, 1]]))
         assert outcome.count == 3
         assert outcome.signature.real_multiplicities == (2,)
+
+    def test_calls_min_poly_through_its_module_binding(self, monkeypatch):
+        # the benchmark tracer (benchmarks/tracing.py) times min_poly by
+        # replacing it in invsub.analyzer, and skips a name that is gone
+        # there; so the analysis must look it up in its own module
+        calls = []
+        original = analyzer.min_poly
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analyzer, "min_poly", recording)
+        a = RationalMatrix([[0, -1], [1, 0]])
+        assert count_invariant_subspaces(a).count == 2
+        assert calls == [(a,)]
 
     def test_one_by_one(self):
         outcome = count_invariant_subspaces(RationalMatrix([[7]]))

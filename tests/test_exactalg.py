@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from itertools import chain, islice
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,9 +22,11 @@ from invsub.analyzer import real_jordan_block, realize_config, standard_jordan_b
 from invsub.spectrum import enumerate_configs
 
 from _oracles import (
+    char_poly_bareiss,
     char_poly_cofactor,
     char_poly_faddeev_leverrier,
     companion_matrix,
+    min_poly_bareiss,
     min_poly_flattened_powers,
     _long_division,
     polynomial_gcd,
@@ -425,6 +429,11 @@ class TestAgainstFractionOracles:
             (exactalg, "_mul"),
             (exactalg, "_divide"),
             (exactalg, "_horner"),
+            (exactalg, "_Elimination"),
+            (exactalg, "_krylov"),
+            (exactalg, "_lifted"),
+            (exactalg, "_primes"),
+            (exactalg, "_rescaled"),
             (RationalMatrix, "__mul__"),
             (RationalPolynomial, "__divmod__"),
             (RationalPolynomial, "__mod__"),
@@ -439,6 +448,8 @@ class TestAgainstFractionOracles:
             squarefree_factors(p),
             squarefree_part(p),
             polynomial_gcd(p, poly(-1, 1)),
+            char_poly_bareiss(a),
+            min_poly_bareiss(a),
         )
         monkeypatch.undo()
         assert results == (
@@ -448,6 +459,8 @@ class TestAgainstFractionOracles:
             ((poly(1, 0, 1), 1), (poly(-1, 1), 2)),
             product(poly(-1, 1), poly(1, 0, 1)),
             poly(-1, 1),
+            char_poly(a),
+            min_poly(a),
         )
 
     def test_dense_rational_matrices(self):
@@ -572,6 +585,168 @@ class TestAgainstFractionOracles:
         a = RationalMatrix([[entry]])
         self.assert_agrees(a)
         assert min_poly(a) == char_poly(a) == poly(-entry, 1)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def start_at_small_primes(monkeypatch):
+    # small primes divide minors of these inputs often, so the lifts
+    # meet unlucky primes and must move on to the next one
+    primes = exactalg._primes
+    monkeypatch.setattr(exactalg, "_primes", lambda: chain(SMALL_PRIMES, primes()))
+
+
+class TestAgainstFractionOraclesAtSmallPrimes(TestAgainstFractionOracles):
+    """Every family above again, with the primes starting at 2, 3, 5,
+    7, 11 and 13."""
+
+    @pytest.fixture(autouse=True)
+    def small_primes(self, monkeypatch):
+        start_at_small_primes(monkeypatch)
+
+
+class TestUnluckyPrimes:
+    # mu(B) e_2 = (48678, 0, -48678, 0, 0, 0) for the lcm mu of the
+    # first chain: zero mod 3, so the chain of e_2 is empty mod 3, but
+    # not zero over Z
+    B = RationalMatrix(
+        [
+            [9, -20, 19, 12, -21, 0],
+            [0, 0, 0, -2, 0, 0],
+            [0, 20, -10, -12, 21, 0],
+            [0, 1, 0, 2, 0, 0],
+            [0, 11, 0, 2, 11, 0],
+            [0, 0, 0, 0, 0, 9],
+        ]
+    )
+    MU = poly(1980, -2182, 1172, -79, -12, 1)
+
+    def test_pinned_minimal_polynomial(self, monkeypatch):
+        assert min_poly(self.B) == self.MU == min_poly_flattened_powers(self.B)
+        start_at_small_primes(monkeypatch)
+        assert min_poly(self.B) == self.MU
+        assert char_poly(self.B) == char_poly_faddeev_leverrier(self.B)
+
+    def test_zero_mod_p_is_not_zero(self):
+        rows = self.B.integer_rows
+        assert exactalg._minimal(rows, 3) is None
+        assert exactalg._rescaled(exactalg._minimal(rows, 11), 1) == self.MU
+
+    def test_first_prime_unlucky(self):
+        # B = diag(0, p) is 0 mod the first prime p, so the chain of
+        # (1, 2) stops after one vector there, while its minimal
+        # polynomial over Q is x (x - p)
+        p = next(exactalg._primes())
+        b = RationalMatrix([[0, 0], [0, p]])
+        assert exactalg._minimal([[0, 0], [0, p]], p) is None
+        assert min_poly(b) == char_poly(b) == poly(0, -p, 1)
+
+
+def test_primes_descend_through_every_prime_below_2_to_the_30():
+    def is_prime(m):
+        return all(m % d for d in range(3, isqrt(m) + 1, 2))
+
+    primes = list(islice(exactalg._primes(), 40))
+    assert primes[0] == 2**30 - 35
+    assert not any(is_prime(m) for m in range(2**30 - 33, 2**30, 2))
+    odd = range(primes[-1], primes[0] + 1, 2)
+    assert primes == [m for m in reversed(odd) if is_prime(m)]
+
+
+class TestAgainstBareissOracle:
+    """char_poly and min_poly against the fraction-free Krylov
+    elimination over Z, at sizes the Fraction oracles cannot reach."""
+
+    @staticmethod
+    def assert_agrees(a):
+        assert char_poly(a) == char_poly_bareiss(a)
+        assert min_poly(a) == min_poly_bareiss(a)
+
+    def test_seeded_dense_matrices(self):
+        for n in range(12, 33):
+            self.assert_agrees(random_rational_matrix(random.Random(n), n))
+
+    def test_conjugated_derogatory_sums_with_three_or_more_chains(self):
+        rng = random.Random(59)
+        quadratic, cubic = poly(1, 0, 1), product(power(poly(-2, 1), 2), poly(Fraction(1, 3), 1))
+        quartic = product(poly(3, 1), poly(-2, 0, 1), poly(Fraction(-1, 2), 1))
+        cases = [
+            (cubic,) * 4,
+            (quadratic, cubic, quadratic, cubic, quartic),
+            (quartic,) * 3 + (poly(-3, 1),) * 4,
+            (product(cubic, quadratic), cubic, quadratic, quartic, quartic),
+            (power(poly(1, 1, 1), 2),) * 6,
+        ]
+        for factors in cases:
+            a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
+            assert 12 <= a.n <= 24
+            p = random_invertible_matrix(rng, a.n)
+            matrix = p.inverse() * a * p
+            self.assert_agrees(matrix)
+            assert min_poly(matrix).degree < matrix.n
+
+    def test_dense_n48(self):
+        self.assert_agrees(random_rational_matrix(random.Random(48), 48))
+
+
+class TestMetamorphic:
+    """Relations the polynomials of A keep under the transpose, scaling,
+    similarity and shifts, on dense and derogatory inputs."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(61)
+        yield from (random_rational_matrix(rng, n) for n in (3, 7, 12))
+        quadratic = poly(Fraction(1, 2), 0, 1)
+        for factors in ((quadratic,) * 3, (quadratic, product(quadratic, poly(2, 1)), poly(2, 1))):
+            a = RationalMatrix.block_diagonal([companion_matrix(p) for p in factors])
+            p = random_invertible_matrix(rng, a.n)
+            yield p.inverse() * a * p
+
+    def test_transpose(self):
+        for a in self.inputs():
+            t = RationalMatrix(zip(*a.entries))
+            assert (min_poly(t), char_poly(t)) == (min_poly(a), char_poly(a))
+
+    @pytest.mark.parametrize("k", [Fraction(3), Fraction(-2, 5)])
+    def test_scaling(self, k):
+        # the polynomial of kA is k^deg p(x / k)
+        for a in self.inputs():
+            ka = RationalMatrix([[k * x for x in row] for row in a.entries])
+            for f in (min_poly, char_poly):
+                p = f(a)
+                assert f(ka) == RationalPolynomial(
+                    c * k ** (p.degree - i) for i, c in enumerate(p.coefficients)
+                )
+
+    def test_similarity(self):
+        rng = random.Random(67)
+        for a in self.inputs():
+            p = random_invertible_matrix(rng, a.n)
+            b = p.inverse() * a * p
+            assert (min_poly(b), char_poly(b)) == (min_poly(a), char_poly(a))
+
+    @pytest.mark.parametrize("c", [Fraction(4), Fraction(-7, 3)])
+    def test_shift(self, c):
+        # the polynomial of A + cI is p(x - c)
+        for a in self.inputs():
+            shifted = RationalMatrix(
+                [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.entries)]
+            )
+            for f in (min_poly, char_poly):
+                assert f(shifted) == substitute(f(a), poly(-c, 1))
+
+
+def test_min_poly_dense_n64_within_budget():
+    # Bareiss took about 3 s here, the modular route well under 1 s:
+    # bit growth like n^4 again would miss the budget
+    a = random_rational_matrix(random.Random(64), 64)
+    start = time.perf_counter()
+    m = min_poly(a)
+    elapsed = time.perf_counter() - start
+    assert m.degree == 64
+    assert elapsed < 3.0, f"took {elapsed:.2f} s"
 
 
 def rebuilt(lead: Fraction, factors) -> RationalPolynomial:
