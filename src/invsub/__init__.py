@@ -40,7 +40,7 @@ from .spectrum import (
     enumerate_configs,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BlockConfig",

@@ -23,50 +23,36 @@ from .spectrum import BlockConfig, count_for_config, dimension_profile
 
 
 class SubspaceCount(FrozenValue):
-    """Result of an analysis: either infinite, or the signature and
-    dimension profile of a finite count.
+    """Result of an analysis: the signature of a finite count, or None
+    for the infinite case.
 
-    Both fields are None for the infinite case.  The count itself is
-    the profile's sum, and :func:`count_for_config` of the signature
-    cross-checks it once, when the result is built.
+    The signature is the one stored field.  ``count`` and ``profile``
+    are derived from it, by :func:`count_for_config` and
+    :func:`dimension_profile`, and are None when the count is infinite.
     """
 
     signature: BlockConfig | None
-    profile: tuple[int, ...] | None
-    __match_args__ = ("signature", "profile")
+    __match_args__ = ("signature",)
 
-    def __init__(
-        self,
-        signature: BlockConfig | None = None,
-        profile: tuple[int, ...] | None = None,
-    ) -> None:
-        if (signature is None) != (profile is None):
-            raise ValueError("finite counts carry a signature and a profile")
-        if profile is not None:
-            profile = tuple(profile)
-            if sum(profile) != count_for_config(signature):
-                raise ValueError("profile does not sum to the signature product")
+    def __init__(self, signature: BlockConfig | None = None) -> None:
+        if signature is not None and not isinstance(signature, BlockConfig):
+            raise TypeError(f"signature must be a BlockConfig or None, not {signature!r}")
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "profile", profile)
 
     @property
     def count(self) -> int | None:
         """The number of invariant subspaces, None when infinite."""
-        return None if self.profile is None else sum(self.profile)
+        return None if self.signature is None else count_for_config(self.signature)
+
+    @property
+    def profile(self) -> tuple[int, ...] | None:
+        """The number of invariant subspaces of each dimension 0..n,
+        None when infinite."""
+        return None if self.signature is None else dimension_profile(self.signature)
 
     @property
     def is_finite(self) -> bool:
-        return self.profile is not None
-
-    @classmethod
-    def infinite(cls) -> "SubspaceCount":
-        return cls()
-
-    @classmethod
-    def finite(
-        cls, signature: BlockConfig, profile: tuple[int, ...]
-    ) -> "SubspaceCount":
-        return cls(signature, profile)
+        return self.signature is not None
 
 
 def _signature(p: RationalPolynomial) -> BlockConfig:
@@ -87,17 +73,16 @@ def _signature(p: RationalPolynomial) -> BlockConfig:
 def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
     """Exact invariant-subspace count of a rational matrix.
 
-    Returns the infinite marker for derogatory matrices; otherwise the
-    signature and its per-dimension profile, whose sum is the count:
-    the product of (multiplicity + 1) over the signature.  The minimal
-    polynomial is computed once: when it has degree n it is also the
-    characteristic polynomial.
+    Returns ``SubspaceCount()`` for derogatory matrices; otherwise
+    ``SubspaceCount(signature)``, whose count is the product of
+    (multiplicity + 1) over the signature.  The minimal polynomial is
+    computed once: when it has degree n it is also the characteristic
+    polynomial.
     """
     minimal = min_poly(a)
     if minimal.degree != a.n:
-        return SubspaceCount.infinite()
-    signature = _signature(minimal)
-    return SubspaceCount.finite(signature, dimension_profile(signature))
+        return SubspaceCount()
+    return SubspaceCount(_signature(minimal))
 
 
 def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:

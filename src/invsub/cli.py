@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby
 
-from .analyzer import count_invariant_subspaces, realize_config
+from .analyzer import SubspaceCount, count_invariant_subspaces, realize_config
 from .exactalg import RationalMatrix
 from .spectrum import (
     attainable_counts,
@@ -240,7 +240,7 @@ def _selfcheck_results(max_n: int):
         for config in enumerate_configs(n):
             total += 1
             outcome = count_invariant_subspaces(realize_config(config))
-            if outcome.count != count_for_config(config):
+            if outcome != SubspaceCount(config):
                 ok = False
         yield f"analyzer round-trip n={n} ({total} configurations)", ok
 

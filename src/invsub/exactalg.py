@@ -40,7 +40,8 @@ Each operation has one implementation:
 * ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
   vector and ``evaluate_at_matrix`` to each unit vector.
   ``RationalMatrix.inverse`` has no elimination of its own: writing
-  det(xI - A) = x q(x) + c, Cayley-Hamilton gives A^-1 = -q(A) / c.
+  the minimal polynomial mu(x) = x q(x) + c, mu(A) = 0 gives
+  A^-1 = -q(A) / c.
 * One core, ``squarefree_root_counts``, walks the gcd tower g_0 = f,
   g_(i+1) = gcd(g_i, g_i'): the signed pseudo-remainder sequence of g_i
   and g_i' is a Sturm chain of g_i that counts its distinct real roots
@@ -236,14 +237,15 @@ class RationalMatrix(FrozenValue):
         return not any(map(any, self.integer_rows))
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Cayley-Hamilton.
+        """Exact inverse from the minimal polynomial.
 
-        Write det(xI - A) = x q(x) + c.  Then A q(A) = -cI, so A is
-        singular exactly when c = 0 and otherwise A^-1 = -q(A) / c, in
-        which the denominator of the polynomial cancels.  Raises
-        ValueError on a singular matrix.
+        Write mu(x) = x q(x) + c.  Then A q(A) = -cI, as mu(A) = 0, and
+        mu(0) = 0 exactly when 0 is an eigenvalue, so A is singular
+        exactly when c = 0 and otherwise A^-1 = -q(A) / c, in which the
+        denominator of the polynomial cancels.  Raises ValueError on a
+        singular matrix.
         """
-        c, *q = char_poly(self).integer_coefficients
+        c, *q = min_poly(self).integer_coefficients
         if c == 0:
             raise ValueError("matrix is singular")
         return evaluate_at_matrix(_polynomial([-x for x in q], c), self)
@@ -303,17 +305,16 @@ def _divide(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     """Pseudo-division (Knuth, TAOCP 2, 4.6.1) of integer polynomials:
     (s, q, r) with s a = q b + r, deg r < deg b and
     s = |lc(b)|^(deg a - deg b + 1), a positive number that makes every
-    step of the long division of s a by b exact.  Raises
-    ArithmeticError when a step does not divide exactly."""
+    step of the long division of s a by b exact: before the step that
+    takes the quotient term of x^k, the working remainder is still a
+    multiple of |lc(b)|^(k + 1)."""
     quotient = [0] * max(len(a) - len(b) + 1, 0)
     s = abs(b[-1]) ** len(quotient)
     r = [s * c for c in a]
     for shift in range(len(quotient) - 1, -1, -1):
         c = r[shift + len(b) - 1]
         if c:
-            q, rest = divmod(c, b[-1])
-            if rest:
-                raise ArithmeticError("inexact integer polynomial division")
+            q = c // b[-1]
             quotient[shift] = q
             for i, x in enumerate(b):
                 r[shift + i] -= q * x

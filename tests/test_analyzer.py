@@ -66,24 +66,34 @@ class TestJordanSignature:
 
 
 class TestSubspaceCount:
+    """The signature is the one stored field; count and profile are
+    derived from it."""
+
     def test_infinite_carries_nothing(self):
-        outcome = SubspaceCount.infinite()
+        outcome = SubspaceCount()
         assert not outcome.is_finite
         assert outcome.count is None
         assert outcome.signature is None
         assert outcome.profile is None
 
-    def test_finite_validates_profile_sum(self):
-        sig = BlockConfig((), (1, 1))
-        with pytest.raises(ValueError):
-            SubspaceCount.finite(sig, (1, 1, 1))
+    def test_count_and_profile_follow_the_signature_through_n8(self):
+        total = 0
+        for n in range(1, 9):
+            for config in enumerate_configs(n):
+                total += 1
+                outcome = SubspaceCount(config)
+                assert outcome.is_finite
+                assert outcome.profile == dimension_profile(config)
+                assert outcome.count == count_for_config(config) == sum(outcome.profile)
+                assert count_invariant_subspaces(realize_config(config)) == outcome
+        assert total == 137
 
-    def test_stores_a_profile_list_as_a_tuple(self):
-        sig = BlockConfig((), (1, 1))
-        outcome = SubspaceCount.finite(sig, [1, 2, 1])
-        assert outcome.profile == (1, 2, 1)
-        assert outcome == SubspaceCount.finite(sig, (1, 2, 1))
-        assert hash(outcome) == hash(SubspaceCount.finite(sig, (1, 2, 1)))
+    @pytest.mark.parametrize(
+        "arguments", [(7,), ((1,), (1, 1)), (((), (1,)),)], ids=["int", "two tuples", "pair"]
+    )
+    def test_rejects_a_signature_that_is_not_a_block_config(self, arguments):
+        with pytest.raises(TypeError):
+            SubspaceCount(*arguments)
 
 
 class TestJordanBlocks:

@@ -138,7 +138,7 @@ class TestRationalMatrix:
     def test_inverse_round_trip_random(self):
         rng = random.Random(7)
         matrices = [random_invertible_matrix(rng, rng.randint(1, 8)) for _ in range(25)]
-        # char_poly runs several Krylov chains on these
+        # min_poly runs several Krylov chains on these
         matrices += [
             scalar_matrix(5, 3),
             standard_jordan_block(Fraction(2, 3), 6),
@@ -149,8 +149,19 @@ class TestRationalMatrix:
         for m in matrices:
             assert m * m.inverse() == RationalMatrix.identity(m.n)
             assert m.inverse() * m == RationalMatrix.identity(m.n)
-        with pytest.raises(ValueError, match="singular"):
-            standard_jordan_block(0, 4).inverse()
+        # singular derogatory inputs too, whose minimal polynomial is a
+        # proper divisor of the characteristic one
+        singular = [
+            standard_jordan_block(0, 4),
+            RationalMatrix([[0] * 3] * 3),
+            RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+            RationalMatrix.block_diagonal(
+                [standard_jordan_block(0, 2), RationalMatrix([[0]])]
+            ),
+        ]
+        for m in singular:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
 
 
 class TestRationalMatrixStorage:

@@ -114,7 +114,7 @@ _VALUES = [
     (invsub.RationalMatrix([[1, "1/2"], ["-2/3", 4]]), "integer_rows"),
     (invsub.RationalPolynomial([3, "-1/2", 0, 2]), "integer_coefficients"),
     (invsub.attainable_counts(5), "values"),
-    (invsub.SubspaceCount.finite(_CONFIG, invsub.dimension_profile(_CONFIG)), "profile"),
+    (invsub.SubspaceCount(_CONFIG), "signature"),
 ]
 
 
@@ -135,11 +135,11 @@ _PAIR = invsub.BlockConfig((1,), (2, 1))
 _PINNED_REPRS = [
     (_PAIR, "BlockConfig(complex_pair_multiplicities=(1,), real_multiplicities=(2, 1))"),
     (invsub.SpectrumSet(2, (3, 4)), "SpectrumSet(n=2, values=(3, 4))"),
-    (invsub.SubspaceCount(), "SubspaceCount(signature=None, profile=None)"),
+    (invsub.SubspaceCount(), "SubspaceCount(signature=None)"),
     (
-        invsub.SubspaceCount.finite(invsub.BlockConfig((), (1,)), (1, 1)),
+        invsub.SubspaceCount(invsub.BlockConfig((), (1,))),
         "SubspaceCount(signature=BlockConfig(complex_pair_multiplicities=(),"
-        " real_multiplicities=(1,)), profile=(1, 1))",
+        " real_multiplicities=(1,)))",
     ),
     (
         invsub.Multipartition((0, 2), ((), (1, 1))),
@@ -158,11 +158,10 @@ def test_value_type_reprs(value, text):
 
 
 def test_value_types_take_keywords():
-    profile = invsub.dimension_profile(_PAIR)
     assert invsub.BlockConfig(complex_pair_multiplicities=(1,), real_multiplicities=(1, 2)) == _PAIR
     assert invsub.SpectrumSet(n=2, values=(3, 4)) == invsub.SpectrumSet(2, (3, 4))
     assert invsub.Multipartition(composition=(2,), partitions=((2,),)).partitions == ((2,),)
-    assert invsub.SubspaceCount(signature=_PAIR, profile=profile).count == 12
+    assert invsub.SubspaceCount(signature=_PAIR).count == 12
     assert invsub.RationalPolynomial(coefficients=[0, 1]).degree == 1
     assert invsub.RationalMatrix(rows=[[2]]).n == 1
 
@@ -170,7 +169,8 @@ def test_value_types_take_keywords():
 def test_subspace_count_defaults_to_infinite():
     outcome = invsub.SubspaceCount()
     assert outcome.signature is None and outcome.profile is None
-    assert outcome == invsub.SubspaceCount.infinite()
+    assert outcome == invsub.SubspaceCount(None)
+    assert outcome.count is None and not outcome.is_finite
 
 
 @pytest.mark.parametrize(
@@ -183,8 +183,8 @@ def test_subspace_count_defaults_to_infinite():
         lambda: invsub.SpectrumSet(2, (3, 4), 5),
         lambda: invsub.Multipartition((1,)),
         lambda: invsub.Multipartition((1,), ((1,),), ()),
-        lambda: invsub.SubspaceCount(None, None, None),
-        lambda: invsub.SubspaceCount(count=3),
+        lambda: invsub.SubspaceCount(None, None),
+        lambda: invsub.SubspaceCount(profile=(1, 1)),
         lambda: invsub.RationalPolynomial(),
         lambda: invsub.RationalPolynomial([1], [2]),
         lambda: invsub.RationalMatrix(),
@@ -207,10 +207,13 @@ def test_value_types_match_positional_patterns():
         case invsub.Multipartition(composition, partitions):
             assert (composition, partitions) == ((2,), ((1, 1),))
     match invsub.SubspaceCount():
-        case invsub.SubspaceCount(None, None):
+        case invsub.SubspaceCount(None):
             pass
         case _:
-            pytest.fail("SubspaceCount() did not match (None, None)")
+            pytest.fail("SubspaceCount() did not match (None,)")
+    match invsub.SubspaceCount(_PAIR):
+        case invsub.SubspaceCount(signature):
+            assert signature == _PAIR
     match invsub.RationalPolynomial(["1/2", 1]):
         case invsub.RationalPolynomial(denominator, coefficients):
             assert (denominator, coefficients) == (2, (1, 2))
