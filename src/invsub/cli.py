@@ -12,6 +12,14 @@ subparser runs it (``set_defaults``) and raises all its usage errors.
 A report's ``input_sha256`` digests the input file's bytes for
 ``analyze`` and the canonical JSON of the parameters otherwise.
 
+``parse_matrix_document`` reads a document row by row, by one of two
+routes that give the same matrix or the same error.  A row of JSON ints
+is kept as it is, and a row of strings that one regular expression
+passes as integer tokens is converted by one ``int`` pass: the grammar
+comes first, since ``int`` also takes ``1_0`` and non-ASCII digits.
+Any other row, or one that ``int`` refuses, is read cell by cell by
+``_parse_cell``, the one place that words an error.
+
 Each run of the tool is a fresh process that pays at startup for every
 module imported here, so this module imports only what every command
 uses.  The rest of the standard library loads in the function that
@@ -48,6 +56,8 @@ SELFCHECK_LIMIT = 16
 ROUNDTRIP_LIMIT = 8
 
 _TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+# a row of integer tokens of that grammar, joined by single spaces
+_INTEGER_ROW = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*\Z")
 # error messages quote at most this many characters of a token
 QUOTE_CHARS = 40
 
@@ -98,12 +108,28 @@ def _parse_cell(cell, row: int, col: int) -> int | Fraction:
     )
 
 
+def _parse_row(row: list, i: int) -> list:
+    # true and false are bools, not ints, so they go cell by cell
+    kinds = set(map(type, row))
+    if kinds <= {int}:
+        return row
+    if kinds == {str} and _INTEGER_ROW.match(" ".join(row)):
+        try:
+            return list(map(int, row))
+        except ValueError:
+            # a token past the int-string digit limit, or a JSON string
+            # with a space inside ("1 2"), which the joined row hides
+            pass
+    return [_parse_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
+
+
 def parse_matrix_document(text: str) -> RationalMatrix:
     """Parse a matrix document: whitespace-separated rows of integer or
     p/q tokens, one row per line, or the JSON alternative (a list of
     rows, entries being ints or token strings).  A text line ends at
     LF, CRLF or CR only, and blank lines are skipped.  Both forms read
-    every cell through one reader, ``_parse_cell``."""
+    every row through one reader, ``_parse_row``, and every cell it
+    does not convert whole through ``_parse_cell``."""
     if text.lstrip()[:1] in ("[", "{"):
         import json
 
@@ -128,10 +154,7 @@ def parse_matrix_document(text: str) -> RationalMatrix:
     else:
         lines = text.replace("\r", "\n").split("\n")
         rows = [tokens for tokens in map(str.split, lines) if tokens]
-    cells = [
-        [_parse_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
-        for i, row in enumerate(rows, start=1)
-    ]
+    cells = [_parse_row(row, i) for i, row in enumerate(rows, start=1)]
     try:
         return RationalMatrix(cells)
     except ValueError as exc:

@@ -61,6 +61,7 @@ shares this module's arithmetic.
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -70,7 +71,11 @@ from ._value import FrozenValue
 def _integer_form(values: Iterable) -> tuple[int, list[int]]:
     """(d, [d v for v in values]) with d the lcm of the reduced
     denominators.  Ints and Fractions are taken as they are, strings
-    like ``"3/4"`` and other rationals are coerced, floats are rejected."""
+    like ``"3/4"`` and other rationals are coerced, floats are rejected.
+    Values that are all plain ints (not bools) are their own form, d = 1."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return 1, values
     xs = []
     for x in values:
         if type(x) is not int and type(x) is not Fraction:
@@ -181,7 +186,7 @@ class RationalMatrix(FrozenValue):
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         rows = [list(row) for row in rows]
-        d, ints = _integer_form(x for row in rows for x in row)
+        d, ints = _integer_form(chain.from_iterable(rows))
         if not rows:
             raise ValueError("matrix document contains no rows")
         n = len(rows)

@@ -18,6 +18,7 @@ from invsub.cli import (
     QUOTE_CHARS,
     SPECTRUM_MAX_N,
     TABLE_MAX_N,
+    MatrixInputError,
     cmd_table,
     main,
     parse_matrix_document,
@@ -611,3 +612,114 @@ class TestParserEquivalence:
         # integer tokens go in as JSON ints or strings, p/q tokens as strings
         cells = [[t if "/" in t or rng.random() < 0.5 else int(t) for t in row] for row in token_rows]
         self.assert_same(parse_matrix_document(json.dumps(cells)), self.expected(token_rows))
+
+
+# Tokens outside the matrix grammar.  int() accepts the first three
+# (underscores, Arabic-Indic and fullwidth digits), so the integer-row
+# route has to check the grammar before it converts.
+OFF_GRAMMAR_TOKENS = [
+    "1_0", "\u0663", "\uff11", "+-1", "--1", "+", "-", "0x1", "1e3",
+    "1/+2", "1//2", "/2", "2/",
+]
+
+
+def first_cell_error(token_rows):
+    """The message _parse_cell gives for the first cell it refuses, in
+    reading order, or None."""
+    for i, row in enumerate(token_rows, start=1):
+        for j, token in enumerate(row, start=1):
+            try:
+                cli._parse_cell(token, i, j)
+            except MatrixInputError as exc:
+                return str(exc)
+    return None
+
+
+# the grammar's alphabet and a few characters around it, to be joined
+# into tokens that are often nearly right
+near_tokens = st.text("0123456789+-/_x\u0661\uff11", min_size=1, max_size=6)
+
+
+@st.composite
+def near_token_matrices(draw):
+    n = draw(st.integers(1, 3))
+    return [draw(st.lists(tokens | near_tokens, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestIntegerRows:
+    """Rows of integer tokens and of JSON ints convert in one pass; the
+    reader must accept and refuse exactly what _parse_cell does."""
+
+    @pytest.mark.parametrize("token", OFF_GRAMMAR_TOKENS)
+    def test_off_grammar_token_in_an_integer_row(self, token):
+        message = f"row 2, column 2: invalid rational token {token!r} (expected an integer or p/q)"
+        documents = [
+            f"1 0 0\n0 {token} 0\n0 0 1\n",
+            json.dumps([[1, 0, 0], [0, token, 0], [0, 0, 1]]),
+            json.dumps([["1", "0", "0"], ["0", token, "0"], ["0", "0", "1"]]),
+        ]
+        for text in documents:
+            with pytest.raises(MatrixInputError) as info:
+                parse_matrix_document(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("json_document", [False, True])
+    def test_int_string_digit_limit(self, json_document):
+        limit = sys.get_int_max_str_digits()  # 4300 unless configured otherwise
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+
+        def document(token):
+            if json_document:
+                return json.dumps([["1", "0"], ["0", token]])
+            return f"1 0\n0 {token}\n"
+
+        accepted = "7" * limit
+        matrix = parse_matrix_document(document(accepted))
+        assert matrix.integer_rows == ((1, 0), (0, int(accepted)))
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_document(document(accepted + "7"))
+        assert str(info.value) == f"row 2, column 2: integer with more than {limit} digits"
+
+    def test_rows_mixing_integer_and_fraction_tokens(self):
+        text = "1 1/2 -3\n4 5 6\n-7/7 0 +8\n"
+        expected = [[Fraction(t) for t in line.split()] for line in text.splitlines()]
+        assert parse_matrix_document(text) == RationalMatrix(expected)
+
+    def test_json_rows_mixing_ints_strings_and_true(self):
+        matrix = parse_matrix_document('[[1, "2", "-3/3"], ["4", 5, 6], [7, 8, "+9"]]')
+        assert matrix == RationalMatrix([[1, 2, -1], [4, 5, 6], [7, 8, 9]])
+        # true is a bool, not an int, beside ints alone or strings too
+        for text in ('[[1, 0], [0, true]]', '[[1, "2"], ["3", true]]'):
+            with pytest.raises(MatrixInputError) as info:
+                parse_matrix_document(text)
+            assert str(info.value) == "row 2, column 2: entry 'true' is not an exact rational"
+
+    @pytest.mark.parametrize("row", [["1 2"], ["1", " 2"], ["1 ", "2"], ["-1 -2"]])
+    def test_json_strings_holding_spaces(self, row):
+        # joined by spaces, these rows look like integer tokens
+        n = len(row)
+        cells = [row] + [[0] * n for _ in range(n - 1)]
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_document(json.dumps(cells))
+        assert str(info.value) == first_cell_error(cells)
+
+    @given(near_token_matrices())
+    @example([["1_0", "2"], ["3", "4"]])
+    @example([["1", "\u0661"], ["2/4", "x"]])
+    @example([["-1", "+2"], ["3/6", "1/0"]])
+    def test_accepts_exactly_what_parse_cell_accepts(self, token_rows):
+        error = first_cell_error(token_rows)
+        text = "\n".join(" ".join(row) for row in token_rows) + "\n"
+        for document in (text, json.dumps(token_rows)):
+            if error is None:
+                expected = RationalMatrix([[Fraction(t) for t in row] for row in token_rows])
+                assert parse_matrix_document(document) == expected
+            else:
+                with pytest.raises(MatrixInputError) as info:
+                    parse_matrix_document(document)
+                assert str(info.value) == error
+        if error is None:
+            # and _parse_cell itself kept to the ASCII grammar
+            grammar = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+            assert all(grammar.fullmatch(t) for row in token_rows for t in row)

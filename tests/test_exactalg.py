@@ -19,6 +19,7 @@ from invsub.exactalg import (
 )
 
 from invsub.analyzer import real_jordan_block, realize_config, standard_jordan_block
+from invsub.cli import parse_matrix_document
 from invsub.spectrum import enumerate_configs
 
 from _oracles import (
@@ -325,6 +326,63 @@ class TestRationalPolynomialStorage:
         q, r = divmod(poly(1, 2, 1), poly("-1/2", "3/4"))
         assert (q, r) == (poly(Fraction(32, 9), Fraction(4, 3)), poly(Fraction(25, 9)))
         assert divmod(poly(1, 2), poly(0, 0, -7)) == (poly(), poly(1, 2))
+
+
+class TestIntegerCanonicalForm:
+    """Integer values reach one stored form, d = 1 and plain int
+    entries, whether they come as ints, Fractions, strings or bools, and
+    whether or not the all-int route of the constructors takes them."""
+
+    FORMS = [lambda k: k, lambda k: Fraction(k, 1), str, bool]
+
+    @pytest.mark.parametrize(
+        "values, forms",
+        [
+            # the bool form can only spell 0 and 1
+            ([[0, 1, 1], [1, 0, 0], [0, 0, 1]], FORMS),
+            ([[-7, 0, 3], [10**30, 1, -1], [2, -(10**25), 5]], FORMS[:3]),
+        ],
+        ids=["zero-one", "wide"],
+    )
+    def test_every_form_stores_alike(self, values, forms):
+        flat = tuple(chain.from_iterable(values))
+        built = []
+        for form in forms:
+            rows = [[form(k) for k in row] for row in values]
+            m = RationalMatrix(rows)
+            p = RationalPolynomial(chain.from_iterable(rows))
+            assert (m.denominator, m.integer_rows) == (1, tuple(map(tuple, values)))
+            assert (p.denominator, p.integer_coefficients) == (1, flat)
+            assert all(type(x) is int for row in m.integer_rows for x in row)
+            assert all(type(c) is int for c in p.integer_coefficients)
+            built.append((m, p))
+        for m, p in built:
+            assert (m, p) == built[0]
+            assert (hash(m), hash(p)) == (hash(built[0][0]), hash(built[0][1]))
+
+    def test_mixed_forms_store_alike(self):
+        m = RationalMatrix([[True, Fraction(-4, 2)], ["3", 5]])
+        assert (m.denominator, m.integer_rows) == (1, ((1, -2), (3, 5)))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
+        assert m == RationalMatrix([[1, -2], [3, 5]])
+        assert hash(m) == hash(RationalMatrix([[1, -2], [3, 5]]))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 -1 0\n007 +2 5\n-0 4 1\n", '[[3, "-1", 0], ["007", 2, "+5"], ["-0", 4, 1]]'],
+        ids=["text", "json"],
+    )
+    def test_parsed_integer_document_has_denominator_one(self, text):
+        m = parse_matrix_document(text)
+        assert (m.denominator, m.integer_rows) == (1, ((3, -1, 0), (7, 2, 5), (0, 4, 1)))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
+
+    def test_parsed_fraction_document_has_lcm_denominator(self):
+        # 2/4 reduces to 1/2, so d is the lcm of 2, 3 and 5
+        m = parse_matrix_document("2/4 1/3 7\n0 -4/5 1\n1 1 1\n")
+        assert m.denominator == 30
+        assert m.integer_rows == ((15, 10, 210), (0, -24, 30), (30, 30, 30))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
 
 
 @given(st.lists(rationals, max_size=5).map(RationalPolynomial), square_matrices())
