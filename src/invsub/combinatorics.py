@@ -36,11 +36,12 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 
     The first partition is ``(n,)`` and the last is ``(1,) * n``; the
     partition of 0 is the empty tuple.  The order is deterministic, so
-    repeated calls yield identical sequences.
+    repeated calls yield identical sequences.  ``n`` is checked at the
+    call.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    yield from _partitions_capped(n, n)
+    return _partitions_capped(n, n)
 
 
 def _partitions_capped(n: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -15,9 +15,9 @@ Each operation has one implementation:
 
 * Polynomials: ``_mul``, ``_derivative`` and ``_divide``, the one
   pseudo-division, shared by ``divmod`` and the remainder sequence
-  ``_signed_prs``; one helper, ``_polynomial``, builds every result,
-  and ``_rescaled`` turns an integer polynomial of dA into the monic
-  one of A.  The value types carry only the arithmetic that the
+  that ``_sturm`` walks; one helper, ``_polynomial``, builds every
+  result, and ``_rescaled`` turns an integer polynomial of dA into the
+  monic one of A.  The value types carry only the arithmetic that the
   library's two questions and their checks use: ``divmod`` and ``%``
   of polynomials, and ``*``, ``inverse`` and ``identity`` of matrices.
 * Krylov chains v, Bv, B^2 v, ... of B = dA run through one
@@ -47,7 +47,8 @@ Each operation has one implementation:
   and g_i' is a Sturm chain of g_i that counts its distinct real roots
   and ends in g_(i+1), so one sequence per multiplicity level gives
   every factor's degree and real roots.  ``count_real_roots`` is a view
-  of it.  ``_signed_prs`` is the one remainder sequence.
+  of it.  ``_sturm`` is the one remainder sequence: it counts sign
+  variations as it walks the chain and keeps only the last element.
 
 ``tests/_oracles.py`` holds independent routes that the tests compare
 against: cofactor expansion and the Faddeev-LeVerrier recurrence for
@@ -326,35 +327,28 @@ def _divide(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     return s, _strip(quotient), _strip(r)
 
 
-def _signed_prs(a: list[int], b: list[int]) -> list[list[int]]:
-    """The signed primitive pseudo-remainder sequence a, b, r_2, r_3, ...
+def _sturm(f: list[int]) -> tuple[list[int], int]:
+    """Walk the signed primitive pseudo-remainder sequence f, f', r_2,
+    r_3, ... and return its last element, a multiple of gcd(f, f'), and
+    the distinct real roots of f.
 
     Each r_(i+1) is the primitive part of the pseudo-remainder of
     r_(i-1) by r_i from ``_divide``, negated: s is positive, so r_(i+1)
-    is a negative multiple of the true remainder.
-    The sequence ends before the first zero remainder, so its last
-    element is a multiple of gcd(a, b).  From f and f' it is a Sturm
-    chain of f, squarefree or not.
+    is a negative multiple of the true remainder, and the sequence is a
+    Sturm chain of f, squarefree or not.  The roots are the drop in
+    sign variations from -infinity to +infinity, read off leading
+    coefficients and degrees, so no root bounds are needed.  Neighbours
+    differ in sign at -infinity exactly when they differ at +infinity
+    or their degrees differ in parity, not both.
     """
-    sequence = [a]
+    a, b = f, _derivative(f)
+    roots = 0
     while b:
-        sequence.append(b)
+        at_pos = (a[-1] > 0) != (b[-1] > 0)
+        at_neg = at_pos != (len(a) - len(b)) % 2
+        roots += at_neg - at_pos
         a, b = b, [-c for c in _primitive(_divide(a, b)[2])]
-    return sequence
-
-
-def _real_root_count(sturm: list[list[int]]) -> int:
-    """Distinct real roots of the first element of a Sturm chain: the
-    drop in sign variations from -infinity to +infinity.  The sign of a
-    polynomial at +-infinity is read off its leading coefficient and
-    degree parity, so no root bounds are needed."""
-
-    def variations(signs: list[int]) -> int:
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    at_pos = [1 if q[-1] > 0 else -1 for q in sturm]
-    at_neg = [s if len(q) % 2 else -s for s, q in zip(at_pos, sturm)]
-    return variations(at_neg) - variations(at_pos)
+    return a, roots
 
 
 # ---- Krylov chains modulo a prime ------------------------------------------
@@ -638,9 +632,9 @@ def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int],
     levels = []
     g = _primitive(list(p.integer_coefficients))
     while len(g) > 1:
-        sequence = _signed_prs(g, _derivative(g))
-        g = sequence[-1]
-        levels.append((len(sequence[0]) - len(g), _real_root_count(sequence)))
+        deeper, real = _sturm(g)
+        levels.append((len(g) - len(deeper), real))
+        g = deeper
     levels.append((0, 0))
     return tuple(
         (m, roots - deeper_roots, real - deeper_real)

@@ -16,9 +16,7 @@ units of even dimension plus at most one real 1-block, so only the
 levels of half-dimension 0..n//2 are built, in one pass per
 half-dimension that lets its units repeat any number of times.  A level
 keeps, for each part of its counts prime to 6, one bitmask of the
-exponents of 2 and 3 that occur with it.  The units of half-dimension 1
-(factors 2, 3 and 4) keep that part, so the closing pass over them
-makes one bitmask update per key.  :func:`enumerate_configs`
+exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
 still lists the configurations for per-configuration views and
 cross-checks.
 """
@@ -31,6 +29,12 @@ from operator import lt
 from ._value import FrozenValue
 from .combinatorics import is_partition, partitions_of
 from .exactalg import _mul
+
+
+def _check_dimension(n: int) -> None:
+    """Reject a dimension that is not a positive int (``bool`` is not)."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension must be a positive int: {n!r}")
 
 
 class BlockConfig(FrozenValue):
@@ -82,8 +86,7 @@ class SpectrumSet(FrozenValue):
 
     def __init__(self, n: int, values) -> None:
         values = tuple(values)
-        if type(n) is not int or n < 1:
-            raise ValueError(f"dimension must be a positive int: {n!r}")
+        _check_dimension(n)
         if not values:
             raise ValueError("a spectrum is never empty")
         if not all(map(lt, values, values[1:])):
@@ -137,14 +140,16 @@ def enumerate_configs(n: int) -> Iterator[BlockConfig]:
 
     For each r = 0..n//2 (total size claimed by conjugate-pair blocks,
     in pairs), pairs every partition of r with every partition of
-    n - 2r.  Configurations are streamed, not materialized.
+    n - 2r.  Configurations are streamed, not materialized; ``n`` is
+    checked at the call.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive: {n}")
-    for r in range(n // 2 + 1):
-        for pairs in partitions_of(r):
-            for reals in partitions_of(n - 2 * r):
-                yield BlockConfig(pairs, reals)
+    _check_dimension(n)
+    return (
+        BlockConfig(pairs, reals)
+        for r in range(n // 2 + 1)
+        for pairs in partitions_of(r)
+        for reals in partitions_of(n - 2 * r)
+    )
 
 
 def attainable_counts(n: int) -> SpectrumSet:
@@ -161,15 +166,15 @@ def attainable_counts(n: int) -> SpectrumSet:
 
     The levels E_0..E_{n//2} are built as an unbounded knapsack: start
     from E_0 = {1} and empty E_1..E_{n//2}, then make one pass per
-    half-dimension h, largest first, which for m = h..n//2 in ascending
-    order adds f * E_{m-h} to E_m for every f in F(h).  By induction on
-    the passes, after those over h' > h the level E_m holds exactly the
-    counts of multisets of units of those half-dimensions with total m.
-    The pass over h keeps what the earlier passes built, and because m
-    ascends it reads E_{m-h} after extending it: so by a second
-    induction on m, a multiset that holds j >= 1 units of F(h) reaches
-    E_m as f times one that holds j - 1 of them, for the f it drops, and
-    every value added is such a count.
+    half-dimension h, h = 1 first and the rest largest first, which for
+    m = h..n//2 in ascending order adds f * E_{m-h} to E_m for every f
+    in F(h).  By induction on the passes, after each one the level E_m
+    holds exactly the counts of multisets of units of the half-dimensions
+    passed so far with total m.  The pass over h keeps what the earlier
+    passes built, and because m ascends it reads E_{m-h} after extending
+    it: so by a second induction on m, a multiset that holds j >= 1
+    units of F(h) reaches E_m as f times one that holds j - 1 of them,
+    for the f it drops, and every value added is such a count.
 
     A level is stored by the part of each count prime to 6.  By unique
     factorization each count is 2^a * 3^b * u for exactly one (a, b, u)
@@ -180,11 +185,7 @@ def attainable_counts(n: int) -> SpectrumSet:
     count in E_m has a <= 2m < stride and b <= m: the rows never
     overlap.  Splitting f = 2^x * 3^y * w, w prime to 6, once per pass,
     multiplying a whole row family by f is one shift,
-    ``E_m[u * w] |= mask << (x + y * stride)``.  The closing pass over
-    h = 1 has w = 1 for all three factors, so it keeps every key and
-    makes one update per key of E_{m-1}, the three shifts (by 1, 2 and
-    stride) joined:
-    ``E_m[u] |= mask << 1 | mask << 2 | mask << stride``.  The counts
+    ``E_m[u * w] |= mask << (x + y * stride)``.  The counts
     come out by walking the set bits of E_{n//2}, 3^b * u shifted left
     by a + n mod 2.
 
@@ -206,14 +207,18 @@ def attainable_counts(n: int) -> SpectrumSet:
     counts, not with the number of configurations.  Values are returned
     in ascending order.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive: {n}")
+    _check_dimension(n)
     half = n // 2
     stride = 2 * half + 1
     levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
-    for h in range(half, 1, -1):
+    # Run first, the pass over h = 1 sees only E_0 = {1: 1}: its factors
+    # 2, 3 and 4 keep the key 1, so it makes 3 * (n//2) updates in all.
+    # Run last, it makes three per key of every level: at n = 32 the build
+    # takes 2,124 bitmask updates that way and 1,426 this way.  The rest
+    # run largest first; smallest first takes 1,490.
+    for h in (1, *range(half, 1, -1)):
         steps = []
-        for f in (h + 1, 2 * h + 1):
+        for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
             x = (f & -f).bit_length() - 1
             f >>= x
             while f % 3 == 0:
@@ -225,10 +230,6 @@ def attainable_counts(n: int) -> SpectrumSet:
             for u, mask in levels[m - h].items():
                 for w, shift in steps:
                     level[u * w] = level.get(u * w, 0) | mask << shift
-    for m in range(1, half + 1):
-        level = levels[m]
-        for u, mask in levels[m - 1].items():
-            level[u] = level.get(u, 0) | mask << 1 | mask << 2 | mask << stride
     values = []
     row_bits = (1 << stride) - 1
     for u, mask in levels[half].items():
@@ -254,8 +255,7 @@ def attainable_counts_bruteforce(n: int) -> SpectrumSet:
     way.  Shares no code with the partition machinery, which makes it a
     genuine cross-check.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive: {n}")
+    _check_dimension(n)
     found: set[int] = set()
     _extend_complex(n, n // 2, 1, found)
     return SpectrumSet(n, tuple(sorted(found)))

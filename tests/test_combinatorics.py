@@ -73,6 +73,10 @@ class TestPartitionsOf:
     def test_deterministic(self):
         assert list(partitions_of(9)) == list(partitions_of(9))
 
+    def test_negative_rejected_at_the_call(self):
+        with pytest.raises(ValueError):
+            partitions_of(-1)
+
 
 class TestPartitionCount:
     @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (10, 42), (20, 627)])

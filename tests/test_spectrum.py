@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
+from invsub import spectrum
 from invsub.combinatorics import partition_count
 from invsub.spectrum import (
     BlockConfig,
@@ -156,7 +157,12 @@ class TestEnumerateConfigs:
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            list(enumerate_configs(0))
+            enumerate_configs(0)
+
+    @pytest.mark.parametrize("n", [2.0, True, "3"])
+    def test_rejects_a_dimension_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match="dimension must be a positive int"):
+            enumerate_configs(n)
 
 
 class TestSpectrumSet:
@@ -253,6 +259,23 @@ class TestAttainableCounts:
             attainable_counts(0)
         with pytest.raises(ValueError):
             attainable_counts_bruteforce(0)
+
+    @pytest.mark.parametrize("build", [attainable_counts, attainable_counts_bruteforce])
+    @pytest.mark.parametrize("n", [2.0, "3"])
+    def test_rejects_a_dimension_that_is_not_an_int(self, build, n):
+        with pytest.raises(ValueError, match="dimension must be a positive int"):
+            build(n)
+
+    @pytest.mark.parametrize("build", [attainable_counts, attainable_counts_bruteforce])
+    def test_rejects_a_bool_before_building(self, build, monkeypatch):
+        # True passes n >= 1, so only the type check keeps it from
+        # building the spectrum of n = 1
+        def no_spectrum(*args):
+            raise AssertionError("built a spectrum for a bool dimension")
+
+        monkeypatch.setattr(spectrum, "SpectrumSet", no_spectrum)
+        with pytest.raises(ValueError, match="dimension must be a positive int: True"):
+            build(True)
 
     def test_agrees_with_brute_force_up_to_20(self):
         for n in range(1, 21):
