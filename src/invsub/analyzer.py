@@ -13,6 +13,7 @@ then that of the gcd, and so on.  A squarefree polynomial needs one.
 """
 
 from ._value import FrozenValue
+from .combinatorics import _check_dimension
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
@@ -88,8 +89,7 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
 def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
     """size x size Jordan block: ``eigenvalue`` on the diagonal, 1 on the
     superdiagonal."""
-    if size < 1:
-        raise ValueError("block size must be positive")
+    _check_dimension(size, 1)
     return RationalMatrix(
         tuple(
             eigenvalue if i == j else (1 if j == i + 1 else 0)
@@ -105,8 +105,7 @@ def real_jordan_block(a, b, size: int) -> RationalMatrix:
     Built from 2x2 rotation-scaling cells C = [[a, -b], [b, a]] on the
     diagonal with 2x2 identity cells on the superdiagonal.
     """
-    if size < 1:
-        raise ValueError("block size must be positive")
+    _check_dimension(size, 1)
     if b <= 0:
         raise ValueError("imaginary part must be positive")
     n = 2 * size

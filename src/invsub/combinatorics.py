@@ -31,6 +31,14 @@ def is_composition(parts: Sequence[int]) -> bool:
     return sum(1 for p in parts if p == 0) <= 1
 
 
+def _check_dimension(n: int, least: int) -> None:
+    """Reject a size that is not an int (``bool`` is not) or is below
+    ``least``: 0 for partitions, 1 for dimensions and block sizes."""
+    if type(n) is not int or n < least:
+        sign = "positive" if least else "nonnegative"
+        raise ValueError(f"dimension must be a {sign} int: {n!r}")
+
+
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of ``n`` exactly once, reverse-lexicographically.
 
@@ -39,8 +47,7 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     repeated calls yield identical sequences.  ``n`` is checked at the
     call.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
+    _check_dimension(n, 0)
     return _partitions_capped(n, n)
 
 
@@ -63,8 +70,7 @@ def partition_count(n: int) -> int:
     which shares no code with :func:`partitions_of` and therefore serves
     as an independent counting oracle for it.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
+    _check_dimension(n, 0)
     table = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0

@@ -26,13 +26,15 @@ Each operation has one implementation:
   of a vector is reduced once, by one sum of products mod p.
   ``_krylov`` enters a chain until a vector depends on the earlier ones.
   The primes come from ``_primes``, in a fixed order.
-* The start vectors (1, 2, ..., n), e_1, ..., e_n enter one such
-  elimination, each chain after the earlier ones, until it is full.
-  ``char_poly`` multiplies the chains' quotient polynomials mod p
-  (Keller-Gehrig over F_p) and combines primes by the CRT up to a
-  Hadamard bound.  ``min_poly`` takes the lcm of the minimal
-  polynomials of those vectors: after the first, a vector v extends the
-  lcm mu by the chain of mu(A) v, on an elimination of its own.
+* ``_span`` is the one walk over the start vectors (1, 2, ..., n),
+  e_1, ..., e_n: their chains enter one such elimination, each after
+  the earlier ones, until it is full.  ``char_poly`` walks it mod p and
+  multiplies the chains' quotient polynomials (Keller-Gehrig over F_p),
+  combining primes by the CRT up to a Hadamard bound.  ``min_poly``
+  walks it exactly and takes the lcm of the minimal polynomials of the
+  start vectors: the first chain's from the walk's own LU, and after
+  it a vector v extends the lcm mu by the chain of mu(A) v, on an
+  elimination of its own.
   ``_lifted`` lifts each chain's polynomial from its LU mod p to Z
   p-adically (Dixon) and accepts it only on an exact zero residual, so
   the answer is certified; a prime that fails restarts the search with
@@ -509,27 +511,37 @@ def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
     return acc
 
 
-def _start_vectors(n: int) -> Iterator[list[int]]:
-    """(1, 2, ..., n), then e_1, ..., e_n, each built when it is reached.
+def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[list[int]], list[int]]]:
+    """The one walk over the start vectors (1, 2, ..., n), e_1, ..., e_n.
 
-    The unit vectors span the space, so the Krylov spaces of the list do
-    too.  The dense first vector generates the whole space for most
-    nonderogatory matrices, among them real Jordan forms, whose unit
-    vectors lie in small invariant subspaces; then one Krylov chain
+    The Krylov chain of each start vector under ``step`` enters one
+    elimination mod p, after the earlier chains.  For each chain that
+    extends the span, yields the elimination, the chain and the
+    quotient coefficients: those mod p of the vector that ends the chain
+    on the chain's own vectors.  Stops once the span is full, which the
+    unit vectors guarantee.  The dense first vector generates the whole
+    space for most nonderogatory matrices, among them real Jordan forms,
+    whose unit vectors lie in small invariant subspaces; then one chain
     decides the matrix.
     """
-    yield list(range(1, n + 1))
-    for i in range(n):
-        yield [int(i == j) for j in range(n)]
+    span = _Elimination(n, p)
+    units = ([int(i == j) for j in range(n)] for i in range(n))
+    for v in chain([list(range(1, n + 1))], units):
+        start = len(span.pivots)
+        vectors, y = _krylov(step, v, span)
+        if len(span.pivots) > start:
+            yield span, vectors, y[start:]
+            if len(span.pivots) == n:
+                return
 
 
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - A), monic of degree n.
 
-    Modulo a prime p, the Krylov chains of the start vectors, each
-    entered into one elimination after the earlier ones, put B = dA in
-    block triangular form with companion blocks: det(xI - B) is the
-    product of the chains' quotient polynomials, x^k minus the
+    Modulo a prime p, the Krylov chains of the start vectors that
+    ``_span`` enters into one elimination put B = dA in block
+    triangular form with companion blocks: det(xI - B) is the product
+    of the chains' quotient polynomials, x^k minus the
     coefficients of the vector that ends a chain on the chain's own
     vectors (Keller-Gehrig).  That holds over F_p for every p, so no
     prime is unlucky.  The residues combine by the CRT until the
@@ -542,15 +554,9 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
     bound = 2 * prod(isqrt(sum(x * x for x in row)) + 2 for row in b)
     poly, modulus = [0] * (n + 1), 1
     for p in _primes():
-        step = _modular(b, p)
-        span = _Elimination(n, p)
         residues = [1]
-        for v in _start_vectors(n):
-            start = len(span.pivots)
-            _, y = _krylov(step, v, span)
-            residues = [c % p for c in _mul(residues, [-c for c in y[start:]] + [1])]
-            if len(span.pivots) == n:
-                break
+        for _, _, y in _span(n, p, _modular(b, p)):
+            residues = [c % p for c in _mul(residues, [-c for c in y] + [1])]
         inverse = pow(modulus, -1, p)
         poly = [c + modulus * ((r - c) * inverse % p) for c, r in zip(poly, residues)]
         modulus *= p
@@ -560,27 +566,21 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
 
 
 def _minimal(b: list[list[int]], p: int) -> list[int] | None:
-    """The minimal polynomial of the integer matrix B from Krylov chains
-    mod p and their lifts, or None when p is unlucky."""
+    """The minimal polynomial of the integer matrix B from the exact
+    Krylov chains of ``_span`` and their lifts mod p, or None when p is
+    unlucky."""
     n = len(b)
-    step = _modular(b, p)
-    span = _Elimination(n, p)
+    step = lambda x: [sum(map(mul, row, x)) for row in b]
     mu = [1]
-    for v in _start_vectors(n):
-        if span.pivots:
-            start = len(span.pivots)
-            _krylov(step, v, span)
-            if len(span.pivots) == start:
-                continue
-            lu, v = _Elimination(n, p), _horner(mu, b, v)
-        else:
-            lu = span
-        q = _lifted(b, *_krylov(lambda x: [sum(map(mul, row, x)) for row in b], v, lu), lu)
+    for lu, vectors, y in _span(n, p, step):
+        if len(mu) > 1:  # after the first chain: that of mu(B) v
+            lu = _Elimination(n, p)
+            vectors, y = _krylov(step, _horner(mu, b, vectors[0]), lu)
+        q = _lifted(b, vectors, y, lu)
         if q is None:
             return None
         mu = _mul(mu, q)
-        if len(mu) > n or len(span.pivots) == n:
-            return mu
+    return mu
 
 
 def min_poly(a: RationalMatrix) -> RationalPolynomial:
@@ -590,9 +590,10 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     later vector v and the lcm mu so far, lcm(mu, mu_v) = mu times the
     minimal polynomial of mu(A) v, so one Krylov chain of mu(A) v, on an
     elimination of its own, covers the new part of the lcm; it ends at
-    once when mu(A) v = 0.  The chains of the start vectors themselves
-    enter one more elimination, their span.  Each chain's polynomial is
-    lifted from a prime p by ``_lifted``, and the answer is certified:
+    once when mu(A) v = 0.  ``_span`` walks the exact chains of the
+    start vectors themselves, and its elimination, their span, also
+    lifts the first one.  Each chain's polynomial is lifted from a prime
+    p by ``_lifted``, and the answer is certified:
 
     1. Vectors independent mod p are independent over Q, since a minor
        that is nonzero mod p is nonzero.
@@ -602,9 +603,8 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     3. A full span mod p means, by 1, that the chains processed span
        Q^n.  The lcm annihilates their start vectors, so it annihilates
        B, and as an lcm of factors of the minimal polynomial it is the
-       minimal polynomial.  Skipping a start vector that lies in the
-       span mod p is therefore safe.  The search also ends once the
-       degree reaches n, which certifies that A is nonderogatory.
+       minimal polynomial.  So the walk stops there, and skipping a
+       start vector that lies in the span mod p is safe.
 
     A prime for which a lift fails is unlucky, and the search starts
     again with the next prime from ``_primes``.

@@ -27,14 +27,8 @@ from math import prod
 from operator import lt
 
 from ._value import FrozenValue
-from .combinatorics import is_partition, partitions_of
+from .combinatorics import _check_dimension, is_partition, partitions_of
 from .exactalg import _mul
-
-
-def _check_dimension(n: int) -> None:
-    """Reject a dimension that is not a positive int (``bool`` is not)."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"dimension must be a positive int: {n!r}")
 
 
 class BlockConfig(FrozenValue):
@@ -86,7 +80,7 @@ class SpectrumSet(FrozenValue):
 
     def __init__(self, n: int, values) -> None:
         values = tuple(values)
-        _check_dimension(n)
+        _check_dimension(n, 1)
         if not values:
             raise ValueError("a spectrum is never empty")
         if not all(map(lt, values, values[1:])):
@@ -143,7 +137,7 @@ def enumerate_configs(n: int) -> Iterator[BlockConfig]:
     n - 2r.  Configurations are streamed, not materialized; ``n`` is
     checked at the call.
     """
-    _check_dimension(n)
+    _check_dimension(n, 1)
     return (
         BlockConfig(pairs, reals)
         for r in range(n // 2 + 1)
@@ -207,7 +201,7 @@ def attainable_counts(n: int) -> SpectrumSet:
     counts, not with the number of configurations.  Values are returned
     in ascending order.
     """
-    _check_dimension(n)
+    _check_dimension(n, 1)
     half = n // 2
     stride = 2 * half + 1
     levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
@@ -255,7 +249,7 @@ def attainable_counts_bruteforce(n: int) -> SpectrumSet:
     way.  Shares no code with the partition machinery, which makes it a
     genuine cross-check.
     """
-    _check_dimension(n)
+    _check_dimension(n, 1)
     found: set[int] = set()
     _extend_complex(n, n // 2, 1, found)
     return SpectrumSet(n, tuple(sorted(found)))

@@ -123,6 +123,13 @@ class TestJordanBlocks:
         with pytest.raises(ValueError):
             real_jordan_block(Fraction(1), Fraction(0), 1)
 
+    @pytest.mark.parametrize("size", [True, 2.0, "3", 0])
+    def test_rejects_a_size_that_is_not_a_positive_int(self, size):
+        with pytest.raises(ValueError, match="dimension must be a positive int"):
+            standard_jordan_block(Fraction(1), size)
+        with pytest.raises(ValueError, match="dimension must be a positive int"):
+            real_jordan_block(Fraction(0), Fraction(1), size)
+
 
 class TestRealizeConfig:
     def test_single_real_block(self):

@@ -77,6 +77,11 @@ class TestPartitionsOf:
         with pytest.raises(ValueError):
             partitions_of(-1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_rejects_a_size_that_is_not_an_int_at_the_call(self, n):
+        with pytest.raises(ValueError, match="dimension must be a nonnegative int"):
+            partitions_of(n)
+
 
 class TestPartitionCount:
     @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (10, 42), (20, 627)])
@@ -90,6 +95,11 @@ class TestPartitionCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partition_count(-1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_rejects_a_size_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match="dimension must be a nonnegative int"):
+            partition_count(n)
 
 
 class TestValidators:

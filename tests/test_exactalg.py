@@ -503,6 +503,7 @@ class TestAgainstFractionOracles:
             (exactalg, "_lifted"),
             (exactalg, "_primes"),
             (exactalg, "_rescaled"),
+            (exactalg, "_span"),
             (RationalMatrix, "__mul__"),
             (RationalPolynomial, "__divmod__"),
             (RationalPolynomial, "__mod__"),
@@ -710,6 +711,60 @@ class TestUnluckyPrimes:
         b = RationalMatrix([[0, 0], [0, p]])
         assert exactalg._minimal([[0, 0], [0, p]], p) is None
         assert min_poly(b) == char_poly(b) == poly(0, -p, 1)
+
+
+class TestKrylovWork:
+    """The walk over the start vectors enters no chain once the span is
+    full: the chains and Horner passes that min_poly and char_poly run,
+    counted through the module bindings."""
+
+    @staticmethod
+    def work(monkeypatch, compute, a):
+        # (prime, start vector) of every Krylov chain, and the Horner passes
+        chains, passes = [], []
+        krylov, horner = exactalg._krylov, exactalg._horner
+        monkeypatch.setattr(
+            exactalg, "_krylov", lambda step, x, lu: chains.append((lu.p, x)) or krylov(step, x, lu)
+        )
+        monkeypatch.setattr(exactalg, "_horner", lambda *args: passes.append(args) or horner(*args))
+        compute(a)
+        monkeypatch.undo()
+        return chains, len(passes)
+
+    @pytest.mark.parametrize(
+        "a",
+        [companion_matrix(poly(5, -1, 0, 3, 2, 1)), random_rational_matrix(random.Random(12), 12)],
+        ids=["companion", "dense"],
+    )
+    def test_a_cyclic_first_vector_takes_one_chain(self, monkeypatch, a):
+        first = list(range(1, a.n + 1))
+        assert self.work(monkeypatch, min_poly, a) == ([(next(exactalg._primes()), first)], 0)
+        chains, passes = self.work(monkeypatch, char_poly, a)
+        primes = [p for p, _ in chains]
+        assert len(set(primes)) == len(primes)
+        assert all(x == first for _, x in chains) and passes == 0
+
+    @pytest.mark.parametrize(
+        "a, starts",
+        [
+            (RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [[1, 2, 3], [1, 0, 0]]),
+            (scalar_matrix(3, 3), [[1, 2, 3], [1, 0, 0], [0, 1, 0]]),
+            (
+                RationalMatrix.block_diagonal([companion_matrix(poly(1, 1, 1))] * 2),
+                [[1, 2, 3, 4], [1, 0, 0, 0]],
+            ),
+        ],
+        ids=["diag(1,1,2)", "3I", "derogatory sum"],
+    )
+    def test_no_start_vector_after_the_span_is_full(self, monkeypatch, a, starts):
+        # min_poly: one span chain per start vector that extends the
+        # span, and one Horner pass and chain of mu(B) v after the first
+        chains, passes = self.work(monkeypatch, min_poly, a)
+        assert [x for _, x in chains[:1] + chains[1::2]] == starts
+        assert len(chains) == 2 * len(starts) - 1 and passes == len(starts) - 1
+        chains, passes = self.work(monkeypatch, char_poly, a)
+        primes = list(dict.fromkeys(p for p, _ in chains))
+        assert chains == [(p, x) for p in primes for x in starts] and passes == 0
 
 
 def test_primes_descend_through_every_prime_below_2_to_the_30():
