@@ -26,15 +26,17 @@ Each operation has one implementation:
   of a vector is reduced once, by one sum of products mod p.
   ``_krylov`` enters a chain until a vector depends on the earlier ones.
   The primes come from ``_primes``, in a fixed order.
-* ``_span`` is the one walk over the start vectors (1, 2, ..., n),
-  e_1, ..., e_n: their chains enter one such elimination, each after
-  the earlier ones, until it is full.  ``char_poly`` walks it mod p and
-  multiplies the chains' quotient polynomials (Keller-Gehrig over F_p),
-  combining primes by the CRT up to a Hadamard bound.  ``min_poly``
-  walks it exactly and takes the lcm of the minimal polynomials of the
-  start vectors: the first chain's from the walk's own LU, and after
-  it a vector v extends the lcm mu by the chain of mu(A) v, on an
-  elimination of its own.
+* ``_span`` is the one walk over the start vectors, two fixed dense
+  vectors with entries in 1..4096 and then e_1, ..., e_n: their chains
+  enter one such elimination, each after the earlier ones, until it is
+  full.  The first dense chain alone fills it for almost every
+  nonderogatory matrix, and the unit vectors guarantee that it fills.
+  ``char_poly`` walks it mod p and multiplies the chains' quotient
+  polynomials (Keller-Gehrig over F_p), combining primes by the CRT up
+  to a Hadamard bound.  ``min_poly`` walks it exactly and takes the lcm
+  of the minimal polynomials of the start vectors: the first chain's
+  from the walk's own LU, and after it a vector v extends the lcm mu
+  by the chain of mu(A) v, on an elimination of its own.
   ``_lifted`` lifts each chain's polynomial from its LU mod p to Z
   p-adically (Dixon) and accepts it only on an exact zero residual, so
   the answer is certified; a prime that fails restarts the search with
@@ -512,21 +514,37 @@ def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
 
 
 def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[list[int]], list[int]]]:
-    """The one walk over the start vectors (1, 2, ..., n), e_1, ..., e_n.
+    """The one walk over the start vectors: two dense vectors, then
+    e_1, ..., e_n.
 
     The Krylov chain of each start vector under ``step`` enters one
     elimination mod p, after the earlier chains.  For each chain that
     extends the span, yields the elimination, the chain and the
     quotient coefficients: those mod p of the vector that ends the chain
     on the chain's own vectors.  Stops once the span is full, which the
-    unit vectors guarantee.  The dense first vector generates the whole
-    space for most nonderogatory matrices, among them real Jordan forms,
-    whose unit vectors lie in small invariant subspaces; then one chain
-    decides the matrix.
+    unit vectors guarantee.
+
+    The dense vectors come first because a vector with no structure of
+    its own is cyclic for almost every nonderogatory matrix, so that
+    one chain decides it, and the second fills what the first chain
+    leaves of the span of a matrix with two invariant factors.  A unit
+    vector lies in a small invariant subspace of a Jordan form, and a
+    vector with a pattern, such as (1, 2, ..., n), lies in a proper one
+    of a conjugated Jordan form P^-1 J P whenever a short sum of its
+    entries with the small coefficients of a row of P vanishes.  The 2n
+    entries are 1 plus the top 12 bits of a linear congruential sequence
+    mod 2^32 (the constants of Numerical Recipes), so they lie in
+    1..4096 for every n: wide enough that such sums rarely vanish, and
+    narrow enough that the exact chains stay small, since every vector
+    of a chain carries the bits of its start vector.
     """
     span = _Elimination(n, p)
+    x, dense = 0, []
+    for _ in range(2 * n):
+        x = (1664525 * x + 1013904223) % 2**32
+        dense.append((x >> 20) + 1)
     units = ([int(i == j) for j in range(n)] for i in range(n))
-    for v in chain([list(range(1, n + 1))], units):
+    for v in chain((dense[:n], dense[n:]), units):
         start = len(span.pivots)
         vectors, y = _krylov(step, v, span)
         if len(span.pivots) > start:

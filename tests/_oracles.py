@@ -26,9 +26,10 @@ from fractions import Fraction
 from itertools import product as cartesian_product
 from math import lcm, prod
 
+from invsub.analyzer import realize_config
 from invsub.combinatorics import partitions_of
 from invsub.exactalg import RationalMatrix, RationalPolynomial
-from invsub.spectrum import BlockConfig
+from invsub.spectrum import BlockConfig, enumerate_configs
 
 # ---- Fraction coefficient lists and rows -----------------------------------
 
@@ -229,7 +230,12 @@ def _bareiss_chain(b: list[list[int]], v: list[int], order: list[int], columns: 
 def _bareiss_chains(b: list[list[int]]):
     """(v, q) for each start vector (1, ..., n), e_1, ..., e_n outside
     the span of the earlier chains, q its chain's polynomial modulo that
-    span; stops once the span is full."""
+    span; stops once the span is full.
+
+    The oracle keeps (1, ..., n) first on purpose: ``exactalg`` begins
+    its walk with two dense pseudorandom vectors, so the two walks cross
+    different chains, and their agreement does not rest on a shared
+    choice of start vectors."""
     n = len(b)
     order: list[int] = list(range(n))
     columns: list[list[int]] = []
@@ -461,6 +467,55 @@ def random_invertible_matrix(rng, n: int, bound: int = 5) -> RationalMatrix:
         except ValueError:
             continue
         return candidate
+
+
+def _unit_lower(rng, n: int) -> list[list[int]]:
+    """Ones on the diagonal and zeros above it; below it, each entry is
+    -1 or 1 with probability 0.3, else 0."""
+    return [
+        [int(i == j) if j >= i else rng.choice((-1, 1)) * (rng.random() < 0.3) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _inverse_unit_lower(m: list[list[int]]) -> list[list[int]]:
+    """Row i of the inverse is e_i minus the earlier rows weighted by row i of m."""
+    inverse: list[list[int]] = []
+    for i, row in enumerate(m):
+        inverse.append([int(i == j) - sum(row[k] * inverse[k][j] for k in range(i)) for j in range(len(m))])
+    return inverse
+
+
+def unimodular_conjugate(rng, a: RationalMatrix) -> RationalMatrix:
+    """P^-1 A P for a seeded unimodular integer P = L M^T, L and M unit
+    lower triangular with their other entries in {-1, 0, 1}, mostly 0.
+    P^-1 = (M^-1)^T L^-1 comes by forward substitution, so a dense
+    integer A stays integer, and the products are this module's own."""
+    lower, other = _unit_lower(rng, a.n), _unit_lower(rng, a.n)
+    p = _matrix_mul(lower, [list(col) for col in zip(*other)])
+    p_inverse = _matrix_mul([list(col) for col in zip(*_inverse_unit_lower(other))], _inverse_unit_lower(lower))
+    return RationalMatrix(_matrix_mul(_matrix_mul(p_inverse, [list(row) for row in a.entries]), p))
+
+
+def conjugated_realizations(rng, n: int):
+    """``realize_config`` of each block configuration of dimension n,
+    conjugated by ``unimodular_conjugate``: nonderogatory, as every root
+    owns one block."""
+    for config in enumerate_configs(n):
+        yield unimodular_conjugate(rng, realize_config(config))
+
+
+def conjugated_two_factor_sums(rng, n: int):
+    """For each block configuration of dimension n - 1 with a real part,
+    its ``realize_config`` plus a 1 x 1 block for the real root 1, which
+    the realization gives its largest real part, conjugated by
+    ``unimodular_conjugate``.  The root 1 owns two blocks, so the sum is
+    derogatory, with the two invariant factors x - 1 and the
+    characteristic polynomial of the realization."""
+    one = RationalMatrix([[1]])
+    for config in enumerate_configs(n - 1):
+        if config.real_multiplicities:
+            yield unimodular_conjugate(rng, RationalMatrix.block_diagonal([realize_config(config), one]))
 
 
 def companion_matrix(p: RationalPolynomial) -> RationalMatrix:

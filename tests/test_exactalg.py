@@ -27,6 +27,8 @@ from _oracles import (
     char_poly_cofactor,
     char_poly_faddeev_leverrier,
     companion_matrix,
+    conjugated_realizations,
+    conjugated_two_factor_sums,
     min_poly_bareiss,
     min_poly_flattened_powers,
     _long_division,
@@ -66,6 +68,32 @@ def poly(*coefficients) -> RationalPolynomial:
 
 def scalar_matrix(n: int, c) -> RationalMatrix:
     return RationalMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def dense_start_vectors(n: int) -> tuple[list[int], list[int]]:
+    # the two dense start vectors of exactalg._span, written out again:
+    # 1 + the top 12 bits of x -> 1664525 x + 1013904223 mod 2^32 from 0
+    x, entries = 0, []
+    for _ in range(2 * n):
+        x = (1664525 * x + 1013904223) % 2**32
+        entries.append(1 + x // 2**20)
+    return entries[:n], entries[n:]
+
+
+def jordan(value, size: int) -> RationalMatrix:
+    return RationalMatrix(
+        [[value if j == i else int(j == i + 1) for j in range(size)] for i in range(size)]
+    )
+
+
+def moved_to_dense_start_vectors(m: RationalMatrix, k: int) -> RationalMatrix:
+    # S m S^-1 for S the identity with its first k columns replaced by
+    # the first k dense start vectors, so S e_i is the i-th one
+    dense = dense_start_vectors(m.n)[:k]
+    s = RationalMatrix(
+        [[dense[j][i] if j < k else int(i == j) for j in range(m.n)] for i in range(m.n)]
+    )
+    return s * m * s.inverse()
 
 
 class TestRationalPolynomial:
@@ -628,19 +656,22 @@ class TestAgainstFractionOracles:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_first_start_vector_is_an_eigenvector(self, n):
-        # S e_1 = (1, 2, ..., n), so the dense start vector spans an
-        # eigenline and only the later unit vectors reveal the rest
-        s = RationalMatrix(
-            [[i + 1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)]
-        )
-
-        def jordan(value, size):
-            return RationalMatrix(
-                [[value if j == i else int(j == i + 1) for j in range(size)] for i in range(size)]
-            )
-
+        # the first dense start vector spans an eigenline, so only the
+        # later start vectors reveal the rest
         for m in (jordan(2, n), RationalMatrix.block_diagonal([jordan(5, 1), jordan(5, n - 1)])):
-            self.assert_agrees(s * m * s.inverse())
+            self.assert_agrees(moved_to_dense_start_vectors(m, 1))
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_both_dense_start_vectors_in_one_invariant_plane(self, n):
+        # e_1 and e_2 span an invariant plane of each m, so the dense
+        # start vectors span one of the conjugate, and only the unit
+        # vectors that end the walk reveal the rest
+        for m in (
+            jordan(2, n),
+            RationalMatrix.block_diagonal([jordan(5, 2), jordan(-1, n - 2)]),
+            RationalMatrix.block_diagonal([jordan(5, 1), jordan(5, 1), jordan(5, n - 2)]),
+        ):
+            self.assert_agrees(moved_to_dense_start_vectors(m, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     @pytest.mark.parametrize("c", [Fraction(0), Fraction(3), Fraction(-7, 4)])
@@ -677,9 +708,11 @@ class TestAgainstFractionOraclesAtSmallPrimes(TestAgainstFractionOracles):
 
 
 class TestUnluckyPrimes:
-    # mu(B) e_2 = (48678, 0, -48678, 0, 0, 0) for the lcm mu of the
-    # first chain: zero mod 3, so the chain of e_2 is empty mod 3, but
-    # not zero over Z
+    # the chain of the first dense start vector v ends mod 3 after four
+    # vectors, at B^4 v = B v + B^3 v mod 3, while the minimal polynomial
+    # of v has degree 5: the residual of that relation is zero mod 3 but
+    # not over Z, so its lift fails.  Every prime up to 13 is unlucky
+    # for this chain, and 17 is the first lucky one
     B = RationalMatrix(
         [
             [9, -20, 19, 12, -21, 0],
@@ -701,12 +734,28 @@ class TestUnluckyPrimes:
     def test_zero_mod_p_is_not_zero(self):
         rows = self.B.integer_rows
         assert exactalg._minimal(rows, 3) is None
-        assert exactalg._rescaled(exactalg._minimal(rows, 11), 1) == self.MU
+        assert exactalg._rescaled(exactalg._minimal(rows, 17), 1) == self.MU
+
+    def test_a_later_vector_zero_mod_p_is_not_zero(self, monkeypatch):
+        # B = 2I + 3 e_1 w^T with w = (-18, 27, -4) orthogonal to the
+        # first dense start vector v = (967, 1142, 3357): B v = 2v, so
+        # the first chain lifts mod 3 to mu = x - 2, and for the second,
+        # u = (2736, 1574, 2547), mu(B) u = 3 (w . u) e_1 = (-50814, 0, 0)
+        # is zero mod 3, so its chain is empty mod 3, but not zero over Z
+        v, u = dense_start_vectors(3)
+        assert sum(x * y for x, y in zip([-18, 27, -4], v)) == 0
+        rows = [[-52, 81, -12], [0, 2, 0], [0, 0, 2]]
+        assert exactalg._horner([-2, 1], rows, u) == [-50814, 0, 0]
+        assert exactalg._minimal(rows, 3) is None
+        b, mu = RationalMatrix(rows), poly(-104, 50, 1)
+        assert min_poly(b) == mu == min_poly_flattened_powers(b)
+        start_at_small_primes(monkeypatch)
+        assert min_poly(b) == mu
 
     def test_first_prime_unlucky(self):
-        # B = diag(0, p) is 0 mod the first prime p, so the chain of
-        # (1, 2) stops after one vector there, while its minimal
-        # polynomial over Q is x (x - p)
+        # B = diag(0, p) is 0 mod the first prime p, so the chain of the
+        # first dense start vector stops after one vector there, while
+        # its minimal polynomial over Q is x (x - p)
         p = next(exactalg._primes())
         b = RationalMatrix([[0, 0], [0, p]])
         assert exactalg._minimal([[0, 0], [0, p]], p) is None
@@ -737,7 +786,7 @@ class TestKrylovWork:
         ids=["companion", "dense"],
     )
     def test_a_cyclic_first_vector_takes_one_chain(self, monkeypatch, a):
-        first = list(range(1, a.n + 1))
+        first, _ = dense_start_vectors(a.n)
         assert self.work(monkeypatch, min_poly, a) == ([(next(exactalg._primes()), first)], 0)
         chains, passes = self.work(monkeypatch, char_poly, a)
         primes = [p for p, _ in chains]
@@ -747,14 +796,15 @@ class TestKrylovWork:
     @pytest.mark.parametrize(
         "a, starts",
         [
-            (RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [[1, 2, 3], [1, 0, 0]]),
-            (scalar_matrix(3, 3), [[1, 2, 3], [1, 0, 0], [0, 1, 0]]),
+            (RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [*dense_start_vectors(3)]),
+            (scalar_matrix(3, 3), [*dense_start_vectors(3), [1, 0, 0]]),
             (
                 RationalMatrix.block_diagonal([companion_matrix(poly(1, 1, 1))] * 2),
-                [[1, 2, 3, 4], [1, 0, 0, 0]],
+                [*dense_start_vectors(4)],
             ),
+            (moved_to_dense_start_vectors(jordan(2, 4), 2), [*dense_start_vectors(4), [1, 0, 0, 0]]),
         ],
-        ids=["diag(1,1,2)", "3I", "derogatory sum"],
+        ids=["diag(1,1,2)", "3I", "derogatory sum", "both dense in a plane"],
     )
     def test_no_start_vector_after_the_span_is_full(self, monkeypatch, a, starts):
         # min_poly: one span chain per start vector that extends the
@@ -765,6 +815,20 @@ class TestKrylovWork:
         chains, passes = self.work(monkeypatch, char_poly, a)
         primes = list(dict.fromkeys(p for p, _ in chains))
         assert chains == [(p, x) for p in primes for x in starts] and passes == 0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_conjugated_realizations_take_one_chain_two_factor_sums_three(self, monkeypatch, n):
+        # min_poly: one chain for a nonderogatory matrix; for two
+        # invariant factors, the chain of the first dense vector, that of
+        # the second, and one Horner pass and chain of mu(B) v.  char_poly:
+        # one chain per invariant factor and prime
+        rng = random.Random(n)
+        for family, count in ((conjugated_realizations, 1), (conjugated_two_factor_sums, 2)):
+            for a in family(rng, n):
+                chains, passes = self.work(monkeypatch, min_poly, a)
+                assert (len(chains), passes) == (2 * count - 1, count - 1)
+                chains, passes = self.work(monkeypatch, char_poly, a)
+                assert len(chains) == count * len({p for p, _ in chains}) and passes == 0
 
 
 def test_primes_descend_through_every_prime_below_2_to_the_30():

@@ -10,7 +10,12 @@ documents in ``golden/inputs`` are:
 * ``rational.txt``: rational entries, not all in lowest terms;
 * ``derogatory.txt``: the root 2 owns two Jordan blocks;
 * ``pairs.json``: Jordan blocks of size 2 for the pair +-i and the root
-  5, and the simple pair 1 +- 3i.
+  5, and the simple pair 1 +- 3i;
+* ``blocks16.txt``: 16 x 16, with Jordan blocks of sizes 3, 2, 2 and 1
+  for the roots 6, 4, 8 and 11, of size 2 for the pair -2 +- 2i, and
+  simple pairs +-i and 2 +- i: a document of the benchmark's seed-1
+  ``analyze-finite`` pool on which (1, 2, ..., 16) is not a cyclic
+  vector, so that a walk starting there needs later start vectors.
 
 The non-diagonal documents are P^-1 J P for unimodular integer P.
 
