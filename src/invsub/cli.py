@@ -18,7 +18,9 @@ is kept as it is, and a row of strings that one regular expression
 passes as integer tokens is converted by one ``int`` pass: the grammar
 comes first, since ``int`` also takes ``1_0`` and non-ASCII digits.
 Any other row, or one that ``int`` refuses, is read cell by cell by
-``_parse_cell``, the one place that words an error.
+``_parse_cell``, the one place that words an error.  ``n`` and
+``--max-n`` pass the same grammar's integer tokens only, in
+``_positive_int``.
 
 Each run of the tool is a fresh process that pays at startup for every
 module imported here, so this module imports only what every command
@@ -26,15 +28,16 @@ uses.  The rest of the standard library loads in the function that
 needs it: ``argparse`` in ``build_parser`` and
 ``_positive_int``, ``json`` in the JSON branch of
 ``parse_matrix_document``, the non-rational-entry error of
-``_parse_cell`` and ``_report``, and ``hashlib`` (with OpenSSL behind
-it) in ``_report``.  A text command on a text document loads neither
-``json`` nor ``hashlib``.
+``_parse_cell`` and ``_report``, ``hashlib`` (with OpenSSL behind
+it) in ``_report``, and ``fractions`` (with ``decimal`` and
+``numbers``) in the p/q branch of ``_parse_cell``.  A text command on a
+text document loads neither ``json`` nor ``hashlib``, and no command on
+an integer document loads ``fractions``.
 """
 
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import groupby
 
 from .analyzer import SubspaceCount, count_invariant_subspaces, realize_config
@@ -67,13 +70,13 @@ class MatrixInputError(ValueError):
     matrix; the message names the offending row/column."""
 
 
-def _quoted(token: str) -> str:
+def _quoted(token: str, quote=repr) -> str:
     if len(token) <= QUOTE_CHARS:
-        return repr(token)
-    return f"{token[:QUOTE_CHARS]!r}... ({len(token)} characters)"
+        return quote(token)
+    return f"{quote(token[:QUOTE_CHARS])}... ({len(token)} characters)"
 
 
-def _parse_cell(cell, row: int, col: int) -> int | Fraction:
+def _parse_cell(cell, row: int, col: int) -> "int | Fraction":
     # a string goes through the token grammar; a JSON int (not true or
     # false) passes as it is
     if isinstance(cell, str):
@@ -87,6 +90,8 @@ def _parse_cell(cell, row: int, col: int) -> int | Fraction:
         try:
             if denominator is None:
                 return int(numerator)
+            from fractions import Fraction
+
             return Fraction(int(numerator), int(denominator))
         except ZeroDivisionError:
             raise MatrixInputError(
@@ -289,14 +294,22 @@ def cmd_selfcheck(max_n: int, fmt: str) -> tuple[str, int]:
 
 
 def _positive_int(text: str) -> int:
+    # an integer token of the matrix grammar: int() also takes 1_0,
+    # non-ASCII digits and surrounding spaces
     import argparse
 
+    match = _TOKEN.match(text)
+    if not match or match[2] is not None:
+        raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}")
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        # the interpreter's int-string conversion limit
+        raise argparse.ArgumentTypeError(
+            f"integer with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {_quoted(text, str)}")
     return value
 
 
@@ -312,8 +325,9 @@ def build_parser() -> "argparse.ArgumentParser":
     def dimension(args) -> int:
         # spectrum and table refuse n above --max-n
         if args.n > args.max_n:
+            n, max_n = (_quoted(str(value), str) for value in (args.n, args.max_n))
             args.error(
-                f"n = {args.n} exceeds the maximum {args.max_n}; "
+                f"n = {n} exceeds the maximum {max_n}; "
                 "raise --max-n if you really mean it"
             )
         return args.n

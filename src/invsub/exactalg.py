@@ -7,9 +7,14 @@ than converted.  ``RationalMatrix`` and ``RationalPolynomial`` store a
 value v in one integer form, made by ``_integer_form``: the lcm d of
 its reduced denominators and the integers dv, the rows of dA or the
 coefficients of dp.  ``entries`` and ``coefficients`` build
-``Fraction`` values on demand.  The operations run on plain Python
-ints; a polynomial of dA rescales to the one of A coefficient by
-coefficient, c_k(A) = c_k(dA) / d^(deg - k).
+``Fraction`` values on demand, and ``fractions`` (with ``decimal`` and
+``numbers``) loads only where such a value crosses the API: there, in
+``_integer_form`` for a value that is not an int, in ``_polynomial``
+for d other than 1, in ``RationalMatrix.__mul__`` and in
+``evaluate_at_matrix``; an integer matrix and its minimal polynomial
+build none.  The operations run on plain Python ints; a polynomial of
+dA rescales to the one of A coefficient by coefficient,
+c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
@@ -65,7 +70,6 @@ shares this module's arithmetic.
 """
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -77,10 +81,12 @@ def _integer_form(values: Iterable) -> tuple[int, list[int]]:
     """(d, [d v for v in values]) with d the lcm of the reduced
     denominators.  Ints and Fractions are taken as they are, strings
     like ``"3/4"`` and other rationals are coerced, floats are rejected.
-    Values that are all plain ints (not bools) are their own form, d = 1."""
+    Values that are all plain ints (not bools) are their own form, d = 1;
+    any other value loads ``fractions``."""
     values = list(values)
     if set(map(type, values)) <= {int}:
         return 1, values
+    from fractions import Fraction
     xs = []
     for x in values:
         if type(x) is not int and type(x) is not Fraction:
@@ -114,8 +120,10 @@ class RationalPolynomial(FrozenValue):
         object.__setattr__(self, "integer_coefficients", tuple(_strip(ints)))
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """The coefficients as ``Fraction`` values, indexed by degree."""
+    def coefficients(self) -> "tuple[Fraction, ...]":
+        """The coefficients as ``Fraction`` values, indexed by degree;
+        this loads ``fractions``."""
+        from fractions import Fraction
         d = self.denominator
         return tuple(Fraction(c, d) for c in self.integer_coefficients)
 
@@ -170,7 +178,10 @@ class RationalPolynomial(FrozenValue):
 
 def _polynomial(p: list[int], d: int) -> RationalPolynomial:
     """The polynomial p / d of an integer polynomial p and a nonzero int d."""
-    return RationalPolynomial(p if d == 1 else (Fraction(c, d) for c in p))
+    if d == 1:
+        return RationalPolynomial(p)
+    from fractions import Fraction
+    return RationalPolynomial(Fraction(c, d) for c in p)
 
 
 class RationalMatrix(FrozenValue):
@@ -206,8 +217,9 @@ class RationalMatrix(FrozenValue):
         object.__setattr__(self, "integer_rows", rows)
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as ``Fraction`` values."""
+    def entries(self) -> "tuple[tuple[Fraction, ...], ...]":
+        """The rows as ``Fraction`` values; this loads ``fractions``."""
+        from fractions import Fraction
         d = self.denominator
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.integer_rows)
 
@@ -228,7 +240,7 @@ class RationalMatrix(FrozenValue):
         rows = [[0] * n for _ in range(n)]
         offset = 0
         for block in blocks:
-            for i, row in enumerate(block.entries):
+            for i, row in enumerate(block.integer_rows if block.denominator == 1 else block.entries):
                 rows[offset + i][offset:offset + block.n] = row
             offset += block.n
         return cls(rows)
@@ -236,6 +248,7 @@ class RationalMatrix(FrozenValue):
     def __mul__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
+        from fractions import Fraction
         d = self.denominator * other.denominator
         cols = tuple(zip(*other.integer_rows))
         return RationalMatrix(
@@ -270,6 +283,7 @@ class RationalMatrix(FrozenValue):
 def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatrix:
     """Evaluate p = P / D of degree m at A = B / d: column j is q(B) e_j
     with q_k = P_k d^(m-k), over D d^m."""
+    from fractions import Fraction
     n, d = a.n, a.denominator
     m = max(p.degree, 0)
     q = [c * d ** (m - k) for k, c in enumerate(p.integer_coefficients)]

@@ -723,3 +723,71 @@ class TestIntegerRows:
             # and _parse_cell itself kept to the ASCII grammar
             grammar = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
             assert all(grammar.fullmatch(t) for row in token_rows for t in row)
+
+
+class TestDimensionArguments:
+    """``n`` and ``--max-n`` take the integer tokens of the matrix
+    grammar only, and their errors quote at most QUOTE_CHARS characters."""
+
+    # "command argument" -> the argv that hands a token to that argument;
+    # "--" and "=" keep argparse from taking "-1" or "--1" for an option
+    PLACES = {
+        "spectrum n": lambda token: ["spectrum", "--", token],
+        "table n": lambda token: ["table", "--", token],
+        "spectrum --max-n": lambda token: ["spectrum", "4", f"--max-n={token}"],
+        "table --max-n": lambda token: ["table", "4", f"--max-n={token}"],
+        "selfcheck --max-n": lambda token: ["selfcheck", f"--max-n={token}"],
+    }
+
+    def refuse(self, capsys, place, token):
+        """The message after "argument ...: " and the whole stderr."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.PLACES[place](token))
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        command, argument = place.split()
+        prefix = f"invsub {command}: error: argument {argument}: "
+        *_, last = err.splitlines()
+        assert last.startswith(prefix)
+        return last[len(prefix):], err
+
+    # int() takes the first three of OFF_GRAMMAR_TOKENS and these
+    INT_ONLY_TOKENS = [" 4", "4 ", "\t4\n", "1_000", "٤٠", "8/2"]
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("token", OFF_GRAMMAR_TOKENS + INT_ONLY_TOKENS)
+    def test_off_grammar_token(self, capsys, place, token):
+        message, _ = self.refuse(capsys, place, token)
+        assert message == f"not an integer: {token!r}"
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_past_the_int_string_limit_is_one_short_line(self, capsys, place):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        message, err = self.refuse(capsys, place, "9" * 5000)
+        assert message == f"integer with more than {limit} digits"
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_long_nonpositive_value_is_quoted_briefly(self, capsys, place):
+        token = "-" + "9" * 400
+        message, _ = self.refuse(capsys, place, token)
+        assert message == f"must be a positive integer: {token[:QUOTE_CHARS]}... (401 characters)"
+
+    def test_long_value_above_the_maximum_is_quoted_briefly(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spectrum", "9" * 400])
+        *_, last = capsys.readouterr().err.splitlines()
+        assert excinfo.value.code == 2
+        shown = "9" * QUOTE_CHARS + "... (400 characters)"
+        assert last == (
+            f"invsub spectrum: error: n = {shown} exceeds the maximum {SPECTRUM_MAX_N}; "
+            "raise --max-n if you really mean it"
+        )
+
+    @pytest.mark.parametrize("token, n", [("+4", 4), ("004", 4), ("4", 4)])
+    def test_signs_and_leading_zeros_stay_accepted(self, capsys, token, n):
+        for argv in (["spectrum", token], ["spectrum", str(n), "--max-n", token]):
+            status, out, _ = run(capsys, *argv)
+            assert (status, out) == (0, f"M_{n} = {{3, 4, 5, 6, 8, 9, 12, 16}}\n")

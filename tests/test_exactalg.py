@@ -160,6 +160,24 @@ class TestRationalMatrix:
             [[1, 0, 0], [0, 2, 3], [0, 4, 5]]
         )
 
+    def test_block_diagonal_of_integer_and_rational_blocks(self):
+        blocks = [
+            RationalMatrix([["1/2"]]),
+            RationalMatrix([[2, 3], [4, 5]]),
+            RationalMatrix([["2/3", 0], [1, "-1/4"]]),
+        ]
+        combined = RationalMatrix.block_diagonal(blocks)
+        assert combined.denominator == 12
+        assert combined == RationalMatrix(
+            [
+                [Fraction(1, 2), 0, 0, 0, 0],
+                [0, 2, 3, 0, 0],
+                [0, 4, 5, 0, 0],
+                [0, 0, 0, Fraction(2, 3), 0],
+                [0, 0, 0, 1, Fraction(-1, 4)],
+            ]
+        )
+
     def test_singular_inverse_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             RationalMatrix([[1, 2], [2, 4]]).inverse()

@@ -245,26 +245,84 @@ def test_value_types_refuse_deletion(value, field):
     assert hasattr(value, field)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # both cost startup time in every CLI process; -S keeps site hooks out
-    code = "import sys, invsub, invsub.cli; print(' '.join(sorted(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(invsub.__file__).resolve().parent.parent)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(done.stdout.split())
-    assert "invsub.cli" in loaded
-    assert {"dataclasses", "inspect"} & loaded == set()
+# module -> why ``import invsub, invsub.cli`` must not load it: each
+# costs startup time in every command, and all but the first two load
+# in the functions that use them
+NOT_LOADED_AT_IMPORT = {
+    "dataclasses": "the value types share one small base, invsub._value",
+    "inspect": "slow to import, and dataclasses brings it",
+    "argparse": "invsub.cli loads it in build_parser and _positive_int",
+    "json": "invsub.cli loads it for JSON documents and reports",
+    "hashlib": "invsub.cli loads it in _report",
+    "_hashlib": "hashlib brings OpenSSL with it",
+    "fractions": "only a non-integer value crossing the API loads it",
+    "decimal": "fractions loads it",
+    "numbers": "fractions loads it",
+}
+# what fractions brings; no command on an integer document loads these
+FRACTIONS = {"fractions", "decimal", "numbers"}
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_import_loads_neither_argparse_json_nor_hashlib():
-    # invsub.cli loads them in the functions that use them; hashlib
-    # brings OpenSSL's _hashlib with it
-    code = "import sys, invsub, invsub.cli; print(' '.join(sorted(sys.modules)))"
+def run_fresh(code, *argv):
+    """Run ``code`` with ``argv`` in a fresh ``python -S``, so that no site
+    hook loads a module first, from the golden inputs; return its exit
+    status, its stdout and the modules loaded when it exits."""
+    report = "import atexit, sys; atexit.register(lambda: sys.stderr.write(' '.join(sys.modules)))"
+    code = f"{report}; {code}"
     env = {**os.environ, "PYTHONPATH": str(Path(invsub.__file__).resolve().parent.parent)}
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, *argv],
+        cwd=GOLDEN / "inputs", env=env, capture_output=True, text=True, timeout=120,
     )
-    loaded = set(done.stdout.split())
-    assert "invsub.cli" in loaded
-    assert {"argparse", "json", "hashlib", "_hashlib"} & loaded == set()
+    return done.returncode, done.stdout, set(done.stderr.split())
+
+
+def run_main_fresh(*argv):
+    """invsub.cli.main(argv) in a fresh process, as by ``run_fresh``."""
+    return run_fresh("from invsub.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+
+
+@pytest.fixture(scope="module")
+def loaded_at_import():
+    status, _, loaded = run_fresh("import invsub, invsub.cli")
+    assert status == 0 and "invsub.cli" in loaded
+    return loaded
+
+
+@pytest.mark.parametrize("module", NOT_LOADED_AT_IMPORT)
+def test_import_does_not_load(loaded_at_import, module):
+    assert module not in loaded_at_import, NOT_LOADED_AT_IMPORT[module]
+
+
+# the argv of a command on integers and its golden stdout
+INTEGER_COMMANDS = [
+    (["analyze", "integer.txt"], "analyze-integer.text"),
+    (["analyze", "integer.txt", "--format", "json"], "analyze-integer.json"),
+    (["analyze", "blocks16.txt"], "analyze-blocks16.text"),
+    (["analyze", "blocks16.txt", "--format", "json"], "analyze-blocks16.json"),
+    (["spectrum", "8"], "spectrum-8.text"),
+    (["table", "6", "--format", "json"], "table-6.json"),
+    (["selfcheck", "--max-n", "4"], "selfcheck-4.text"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", INTEGER_COMMANDS, ids=[" ".join(argv) for argv, _ in INTEGER_COMMANDS]
+)
+def test_integer_commands_never_load_fractions(argv, expected):
+    status, out, loaded = run_main_fresh(*argv)
+    golden = (GOLDEN / "expected" / expected).read_text(encoding="utf-8")
+    assert (status, out) == (0, golden)
+    assert "invsub.exactalg" in loaded
+    assert FRACTIONS & loaded == set()
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_rational_document_loads_fractions_where_it_is_read(output_format):
+    # nothing loads fractions before main: the p/q branch of the parser
+    # and exactalg must import it themselves
+    status, out, loaded = run_main_fresh("analyze", "rational.txt", "--format", output_format)
+    golden = (GOLDEN / "expected" / f"analyze-rational.{output_format}").read_text(encoding="utf-8")
+    assert (status, out) == (0, golden)
+    assert FRACTIONS <= loaded
