@@ -23,10 +23,19 @@ Any other row, or one that ``int`` refuses, is read cell by cell by
 ``_positive_int``.
 
 Each run of the tool is a fresh process that pays at startup for every
-module imported here, so this module imports only what every command
-uses.  The rest of the standard library loads in the function that
-needs it: ``argparse`` in ``build_parser`` and
-``_positive_int``, ``json`` in the JSON branch of
+module imported here, and compiles every one of them from source when
+no bytecode is cached, so this module imports only what every command
+uses.  Of ``invsub`` that is ``spectrum``, with ``combinatorics`` and
+``invsub._value``: ``spectrum`` and ``table`` load no other module of
+the package.  ``analyze`` loads ``exactalg`` in
+``parse_matrix_document`` and ``analyzer`` in
+``count_invariant_subspaces``, and ``selfcheck`` loads both for its
+analyzer round trip.  ``count_invariant_subspaces`` is a function of
+this module that imports the analyzer when it is called, rather than a
+name imported from it, so that the commands look it up here: a test and
+the benchmark tracer replace it in this module.  The rest of the
+standard library loads in the function that needs it: ``argparse`` in
+``build_parser`` and ``_positive_int``, ``json`` in the JSON branch of
 ``parse_matrix_document``, the non-rational-entry error of
 ``_parse_cell`` and ``_report``, ``hashlib`` (with OpenSSL behind
 it) in ``_report``, and ``fractions`` (with ``decimal`` and
@@ -40,8 +49,6 @@ import re
 import sys
 from itertools import groupby
 
-from .analyzer import SubspaceCount, count_invariant_subspaces, realize_config
-from .exactalg import RationalMatrix
 from .spectrum import (
     attainable_counts,
     attainable_counts_bruteforce,
@@ -128,7 +135,7 @@ def _parse_row(row: list, i: int) -> list:
     return [_parse_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
 
 
-def parse_matrix_document(text: str) -> RationalMatrix:
+def parse_matrix_document(text: str) -> "RationalMatrix":
     """Parse a matrix document: whitespace-separated rows of integer or
     p/q tokens, one row per line, or the JSON alternative (a list of
     rows, entries being ints or token strings).  A text line ends at
@@ -160,6 +167,8 @@ def parse_matrix_document(text: str) -> RationalMatrix:
         lines = text.replace("\r", "\n").split("\n")
         rows = [tokens for tokens in map(str.split, lines) if tokens]
     cells = [_parse_row(row, i) for i, row in enumerate(rows, start=1)]
+    from .exactalg import RationalMatrix
+
     try:
         return RationalMatrix(cells)
     except ValueError as exc:
@@ -216,6 +225,14 @@ def cmd_table(n: int, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def count_invariant_subspaces(matrix: "RationalMatrix") -> "SubspaceCount":
+    """:func:`invsub.analyzer.count_invariant_subspaces`, imported at the
+    call, so that ``spectrum`` and ``table`` never compile the analyzer."""
+    from . import analyzer
+
+    return analyzer.count_invariant_subspaces(matrix)
+
+
 def cmd_analyze(path: str, fmt: str) -> str:
     try:
         with open(path, "rb") as handle:
@@ -262,6 +279,8 @@ def _selfcheck_results(max_n: int):
     if max_n >= 4:
         ok = tuple(attainable_counts(4)) == REFERENCE_SPECTRUM_4
         yield "spectrum n=4 matches the reference value", ok
+    from .analyzer import SubspaceCount, realize_config
+
     for n in range(1, min(max_n, ROUNDTRIP_LIMIT) + 1):
         total = 0
         ok = True

@@ -28,7 +28,6 @@ from operator import lt
 
 from ._value import FrozenValue
 from .combinatorics import _check_dimension, is_partition, partitions_of
-from .exactalg import _mul
 
 
 class BlockConfig(FrozenValue):
@@ -88,8 +87,13 @@ class SpectrumSet(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
-    def __contains__(self, value: int) -> bool:
-        i = bisect_left(self.values, value)
+    def __contains__(self, value) -> bool:
+        try:
+            i = bisect_left(self.values, value)
+        except TypeError:
+            # a value that does not order against ints ("a", None, [1],
+            # 4 + 0j) is a member only if it equals one, as in a frozenset
+            return value in self.values
         return i < len(self.values) and self.values[i] == value
 
     def __iter__(self) -> Iterator[int]:
@@ -121,6 +125,9 @@ def dimension_profile(config: BlockConfig) -> tuple[int, ...]:
     product of the corresponding generating polynomials and always has
     length n + 1.
     """
+    # imported here: the spectrum commands never compile exactalg
+    from .exactalg import _mul
+
     profile = [1]
     for k in config.real_multiplicities:
         profile = _mul(profile, [1] * (k + 1))

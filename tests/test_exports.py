@@ -246,9 +246,11 @@ def test_value_types_refuse_deletion(value, field):
 
 
 # module -> why ``import invsub, invsub.cli`` must not load it: each
-# costs startup time in every command, and all but the first two load
-# in the functions that use them
+# costs startup time in every command, and all but dataclasses and
+# inspect load in the functions that use them
 NOT_LOADED_AT_IMPORT = {
+    "invsub.exactalg": "the largest module to compile, and spectrum and table never run it",
+    "invsub.analyzer": "invsub.cli imports it in count_invariant_subspaces and selfcheck",
     "dataclasses": "the value types share one small base, invsub._value",
     "inspect": "slow to import, and dataclasses brings it",
     "argparse": "invsub.cli loads it in build_parser and _positive_int",
@@ -261,6 +263,9 @@ NOT_LOADED_AT_IMPORT = {
 }
 # what fractions brings; no command on an integer document loads these
 FRACTIONS = {"fractions", "decimal", "numbers"}
+# the exact matrix algebra: analyze and selfcheck load both, spectrum
+# and table neither
+ALGEBRA = {"invsub.exactalg", "invsub.analyzer"}
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -314,7 +319,7 @@ def test_integer_commands_never_load_fractions(argv, expected):
     status, out, loaded = run_main_fresh(*argv)
     golden = (GOLDEN / "expected" / expected).read_text(encoding="utf-8")
     assert (status, out) == (0, golden)
-    assert "invsub.exactalg" in loaded
+    assert ALGEBRA & loaded == (ALGEBRA if argv[0] in ("analyze", "selfcheck") else set())
     assert FRACTIONS & loaded == set()
 
 
@@ -326,3 +331,55 @@ def test_rational_document_loads_fractions_where_it_is_read(output_format):
     golden = (GOLDEN / "expected" / f"analyze-rational.{output_format}").read_text(encoding="utf-8")
     assert (status, out) == (0, golden)
     assert FRACTIONS <= loaded
+
+
+def test_import_loads_no_submodule_and_no_standard_module():
+    _, _, bare = run_fresh("pass")
+    _, _, loaded = run_fresh("import invsub")
+    assert loaded - bare == {"invsub"}
+
+
+def test_every_exported_name_is_listed_by_dir():
+    assert set(invsub.__all__) <= set(dir(invsub))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from invsub import *", namespace)
+    assert {name: namespace.get(name) for name in invsub.__all__} == {
+        name: getattr(invsub, name) for name in invsub.__all__
+    }
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        invsub.no_such_name
+
+
+def test_submodules_still_import_from_the_package():
+    from invsub import spectrum
+
+    assert spectrum is sys.modules["invsub.spectrum"]
+    assert invsub.attainable_counts is spectrum.attainable_counts
+    # in a fresh process, before any name of exactalg was resolved
+    status, _, loaded = run_fresh(
+        "import invsub; from invsub import exactalg; "
+        "sys.exit(exactalg is not sys.modules['invsub.exactalg'])"
+    )
+    assert status == 0 and "invsub.analyzer" not in loaded
+
+
+def test_values_unpickle_after_import_alone():
+    # pickle finds each class in the submodule that defines it; the fresh
+    # process compares what it loads with the values it builds itself
+    build = (
+        "[invsub.RationalMatrix([[1, '1/2'], [0, 3]]),"
+        " invsub.SubspaceCount(invsub.BlockConfig((1,), (2, 1))),"
+        " invsub.attainable_counts(5)]"
+    )
+    status, _, _ = run_fresh(
+        "import invsub, pickle; loaded = pickle.loads(bytes.fromhex(sys.argv[1])); "
+        f"sys.exit(loaded != {build})",
+        pickle.dumps(eval(build)).hex(),
+    )
+    assert status == 0

@@ -1,5 +1,7 @@
 import hashlib
 import random
+from decimal import Decimal
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -221,6 +223,21 @@ class TestSpectrumSet:
     def test_membership_matches_linear_scan(self, n, value):
         s = attainable_counts(n)
         assert (value in s) == (value in s.values)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["a", None, [1], (4,), 4 + 0j, 4 + 1j, 4.0, 4.5, float("nan"), True,
+         Fraction(4), Fraction(9, 2), Decimal(8)],
+        ids=repr,
+    )
+    def test_membership_of_other_values_agrees_with_a_frozenset(self, value):
+        s = attainable_counts(4)
+        try:
+            expected = value in frozenset(s)
+        except TypeError:
+            # unhashable: a frozenset refuses to look, and no int equals it
+            expected = False
+        assert (value in s) is expected
 
 
 # SHA-256 of ",".join(map(str, attainable_counts(n))), beyond the reach of
