@@ -65,9 +65,11 @@ TABLE_MAX_N = 40
 SELFCHECK_LIMIT = 16
 ROUNDTRIP_LIMIT = 8
 
-_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
-# a row of integer tokens of that grammar, joined by single spaces
-_INTEGER_ROW = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*\Z")
+# the integer token of the matrix grammar, also the numerator of p/q
+_INTEGER = r"[+-]?[0-9]+"
+_TOKEN = re.compile(rf"({_INTEGER})(?:/([0-9]+))?\Z")
+# a row of integer tokens, joined by single spaces
+_INTEGER_ROW = re.compile(rf"{_INTEGER}(?: {_INTEGER})*\Z")
 # error messages quote at most this many characters of a token
 QUOTE_CHARS = 40
 

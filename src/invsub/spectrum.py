@@ -17,8 +17,8 @@ levels of half-dimension 0..n//2 are built, in one pass per
 half-dimension that lets its units repeat any number of times.  A level
 keeps, for each part of its counts prime to 6, one bitmask of the
 exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
-still lists the configurations for per-configuration views and
-cross-checks.
+lists the configurations for per-configuration views and for
+:func:`attainable_counts_bruteforce`, M_n by its definition.
 """
 
 from bisect import bisect_left
@@ -27,7 +27,7 @@ from math import prod
 from operator import lt
 
 from ._value import FrozenValue
-from .combinatorics import _check_dimension, is_partition, partitions_of
+from .combinatorics import _check_dimension, partitions_of
 
 
 class BlockConfig(FrozenValue):
@@ -55,10 +55,10 @@ class BlockConfig(FrozenValue):
             ("complex_pair_multiplicities", complex_pair_multiplicities),
             ("real_multiplicities", real_multiplicities),
         ):
-            parts = tuple(sorted(parts, reverse=True))
-            if not is_partition(parts):
+            parts = tuple(parts)
+            if not all(type(k) is int and k >= 1 for k in parts):
                 raise ValueError(f"invalid multiplicities: {parts}")
-            object.__setattr__(self, name, parts)
+            object.__setattr__(self, name, tuple(sorted(parts, reverse=True)))
         if self.n < 1:
             raise ValueError("a configuration needs at least one root")
 
@@ -248,31 +248,11 @@ def attainable_counts(n: int) -> SpectrumSet:
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:
-    """Independent recomputation of :func:`attainable_counts`.
+    """M_n by its definition: the set of :func:`count_for_config` over
+    every configuration of :func:`enumerate_configs`.
 
-    Recursively enumerates all multisets {a_1, ...} of real block sizes
-    and {b_1, ...} of conjugate-pair block parts with sum(a) + 2 sum(b)
-    equal to n, accumulating the product of (part + 1) factors along the
-    way.  Shares no code with the partition machinery, which makes it a
-    genuine cross-check.
+    Shares nothing with the units, the trades or the bitmask levels of
+    :func:`attainable_counts`, so it is an independent reference for
+    it.  Visits every configuration, sum_r p(r) p(n - 2r) of them.
     """
-    _check_dimension(n, 1)
-    found: set[int] = set()
-    _extend_complex(n, n // 2, 1, found)
-    return SpectrumSet(n, tuple(sorted(found)))
-
-
-def _extend_complex(remaining: int, cap: int, acc: int, found: set[int]) -> None:
-    # place conjugate-pair parts in weakly decreasing order, then switch
-    # to real block sizes for whatever is left
-    for b in range(min(cap, remaining // 2), 0, -1):
-        _extend_complex(remaining - 2 * b, b, acc * (b + 1), found)
-    _extend_real(remaining, remaining, acc, found)
-
-
-def _extend_real(remaining: int, cap: int, acc: int, found: set[int]) -> None:
-    if remaining == 0:
-        found.add(acc)
-        return
-    for a in range(min(cap, remaining), 0, -1):
-        _extend_real(remaining - a, a, acc * (a + 1), found)
+    return SpectrumSet(n, sorted({count_for_config(c) for c in enumerate_configs(n)}))

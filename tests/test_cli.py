@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import invsub
-from invsub import cli
+from invsub import analyzer, cli
 from invsub.cli import (
     QUOTE_CHARS,
     SPECTRUM_MAX_N,
@@ -25,7 +25,12 @@ from invsub.cli import (
 )
 from invsub.combinatorics import partition_count
 from invsub.exactalg import RationalMatrix
-from invsub.spectrum import attainable_counts
+from invsub.spectrum import (
+    BlockConfig,
+    SpectrumSet,
+    attainable_counts,
+    attainable_counts_bruteforce,
+)
 
 from _oracles import table_rows
 
@@ -423,6 +428,48 @@ class TestSelfcheckCommand:
         document = json.loads(out)
         assert document["result"]["all_passed"] is True
         assert all(c["passed"] for c in document["result"]["checks"])
+
+    FAILURES = [
+        "spectrum n=3 matches brute force (3 values)",
+        "analyzer round-trip n=2 (3 configurations)",
+    ]
+
+    def break_two_checks(self, monkeypatch):
+        # a reference spectrum that drops a value at n = 3, and an
+        # analyzer that reads one 2-block as two 1-blocks
+        def wrong_reference(n):
+            if n == 3:
+                return SpectrumSet(3, (4, 6))
+            return attainable_counts_bruteforce(n)
+
+        def miscount(matrix):
+            outcome = analyzer.count_invariant_subspaces(matrix)
+            if outcome.signature == BlockConfig((), (2,)):
+                return analyzer.SubspaceCount(BlockConfig((), (1, 1)))
+            return outcome
+
+        monkeypatch.setattr(cli, "attainable_counts_bruteforce", wrong_reference)
+        monkeypatch.setattr(cli, "count_invariant_subspaces", miscount)
+
+    def test_text_reports_each_failed_check(self, capsys, monkeypatch):
+        self.break_two_checks(monkeypatch)
+        status, out, _ = run(capsys, "selfcheck", "--max-n", "4")
+        assert status == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL  {name}" for name in self.FAILURES
+        ]
+        assert lines[-1] == "2 of 9 checks FAILED"
+
+    def test_json_reports_each_failed_check(self, capsys, monkeypatch):
+        self.break_two_checks(monkeypatch)
+        status, out, _ = run(capsys, "selfcheck", "--max-n", "4", "--format", "json")
+        assert status == 1
+        result = json.loads(out)["result"]
+        assert result["all_passed"] is False
+        assert len(result["checks"]) == 9
+        failed = [c["name"] for c in result["checks"] if not c["passed"]]
+        assert failed == self.FAILURES
 
     def test_rejects_bound_above_cap(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
