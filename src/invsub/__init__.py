@@ -10,10 +10,46 @@ functionality from a shell.
 and ``__all__`` is built from it.  ``import invsub`` loads no submodule:
 a name is imported from its owner on first access, through the module
 ``__getattr__`` (PEP 562), and kept here afterwards.  So a process that
-only counts the spectrum never compiles the exact matrix algebra.
+only counts the spectrum never compiles the exact matrix algebra:
+``combinatorics`` and ``spectrum`` import none of it (``exactalg`` and
+``analyzer``).  Every value type derives from :class:`FrozenValue`,
+defined here.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
+
+
+class FrozenValue:
+    """Immutable value compared, hashed and printed by the fields named
+    in its class's ``__match_args__``, each stored once by its
+    ``__init__`` through ``object.__setattr__``; instances keep a
+    ``__dict__``, so pickle and copy restore them without ``__init__``."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
 
 _OWNERS = {
     "BlockConfig": "spectrum",
@@ -29,7 +65,7 @@ _OWNERS = {
     "count_invariant_subspaces": "analyzer",
     "count_real_roots": "exactalg",
     "derived_composition": "combinatorics",
-    "dimension_profile": "spectrum",
+    "dimension_profile": "analyzer",
     "enumerate_configs": "spectrum",
     "evaluate_at_matrix": "exactalg",
     "is_composition": "combinatorics",

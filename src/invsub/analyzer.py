@@ -10,17 +10,38 @@ real roots and conjugate pairs, which ``squarefree_root_counts``
 extracts exactly from one signed pseudo-remainder sequence per
 multiplicity level: the Sturm chain of f, which ends in gcd(f, f'),
 then that of the gcd, and so on.  A squarefree polynomial needs one.
+The count by dimension, :func:`dimension_profile`, is a product of
+polynomials, so it lives here beside :class:`SubspaceCount`.
 """
 
-from ._value import FrozenValue
+from . import FrozenValue
 from .combinatorics import _check_dimension
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
+    _mul,
     min_poly,
     squarefree_root_counts,
 )
-from .spectrum import BlockConfig, count_for_config, dimension_profile
+from .spectrum import BlockConfig, count_for_config
+
+
+def dimension_profile(config: BlockConfig) -> tuple[int, ...]:
+    """Count invariant subspaces of ``config`` by dimension.
+
+    Entry d of the result is the number of invariant subspaces of
+    dimension d.  A real root of multiplicity k offers subspace
+    dimensions 0..k, a conjugate pair of multiplicity k the even
+    dimensions 0..2k; the profile is the coefficient list of the
+    product of the corresponding generating polynomials and always has
+    length n + 1.
+    """
+    profile = [1]
+    for k in config.real_multiplicities:
+        profile = _mul(profile, [1] * (k + 1))
+    for k in config.complex_pair_multiplicities:
+        profile = _mul(profile, [1 - i % 2 for i in range(2 * k + 1)])
+    return tuple(profile)
 
 
 class SubspaceCount(FrozenValue):

@@ -25,15 +25,14 @@ Any other row, or one that ``int`` refuses, is read cell by cell by
 Each run of the tool is a fresh process that pays at startup for every
 module imported here, and compiles every one of them from source when
 no bytecode is cached, so this module imports only what every command
-uses.  Of ``invsub`` that is ``spectrum``, with ``combinatorics`` and
-``invsub._value``: ``spectrum`` and ``table`` load no other module of
-the package.  ``analyze`` loads ``exactalg`` in
-``parse_matrix_document`` and ``analyzer`` in
-``count_invariant_subspaces``, and ``selfcheck`` loads both for its
-analyzer round trip.  ``count_invariant_subspaces`` is a function of
-this module that imports the analyzer when it is called, rather than a
-name imported from it, so that the commands look it up here: a test and
-the benchmark tracer replace it in this module.  The rest of the
+uses.  Of ``invsub`` that is ``spectrum``, with ``combinatorics``:
+``spectrum`` and ``table`` load no other module of the package.
+``analyze`` loads ``exactalg`` in ``parse_matrix_document`` and
+``analyzer`` in ``count_invariant_subspaces``, and ``selfcheck`` loads
+both for its analyzer round trip.  ``count_invariant_subspaces`` is a
+function of this module that imports the analyzer when it is called,
+rather than a name imported from it, so that the commands look it up
+here: a test and the benchmark tracer replace it in this module.  The rest of the
 standard library loads in the function that needs it: ``argparse`` in
 ``build_parser`` and ``_positive_int``, ``json`` in the JSON branch of
 ``parse_matrix_document``, the non-rational-entry error of

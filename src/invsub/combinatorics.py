@@ -12,7 +12,7 @@ display).
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
-from ._value import FrozenValue
+from . import FrozenValue
 
 
 def is_partition(parts: Sequence[int]) -> bool:

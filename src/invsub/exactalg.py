@@ -74,7 +74,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from ._value import FrozenValue
+from . import FrozenValue
 
 
 def _integer_form(values: Iterable) -> tuple[int, list[int]]:

@@ -18,7 +18,8 @@ half-dimension that lets its units repeat any number of times.  A level
 keeps, for each part of its counts prime to 6, one bitmask of the
 exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
 lists the configurations for per-configuration views and for
-:func:`attainable_counts_bruteforce`, M_n by its definition.
+:func:`attainable_counts_bruteforce`, M_n by its definition.  None of
+it needs the matrix algebra.
 """
 
 from bisect import bisect_left
@@ -26,7 +27,7 @@ from collections.abc import Iterator
 from math import prod
 from operator import lt
 
-from ._value import FrozenValue
+from . import FrozenValue
 from .combinatorics import _check_dimension, partitions_of
 
 
@@ -113,27 +114,6 @@ def count_for_config(config: BlockConfig) -> int:
     return prod(k + 1 for k in config.complex_pair_multiplicities) * prod(
         k + 1 for k in config.real_multiplicities
     )
-
-
-def dimension_profile(config: BlockConfig) -> tuple[int, ...]:
-    """Count invariant subspaces of ``config`` by dimension.
-
-    Entry d of the result is the number of invariant subspaces of
-    dimension d.  A real root of multiplicity k offers subspace
-    dimensions 0..k, a conjugate pair of multiplicity k the even
-    dimensions 0..2k; the profile is the coefficient list of the
-    product of the corresponding generating polynomials and always has
-    length n + 1.
-    """
-    # imported here: the spectrum commands never compile exactalg
-    from .exactalg import _mul
-
-    profile = [1]
-    for k in config.real_multiplicities:
-        profile = _mul(profile, [1] * (k + 1))
-    for k in config.complex_pair_multiplicities:
-        profile = _mul(profile, [1 - i % 2 for i in range(2 * k + 1)])
-    return tuple(profile)
 
 
 def enumerate_configs(n: int) -> Iterator[BlockConfig]:

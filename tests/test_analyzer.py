@@ -8,6 +8,7 @@ from invsub import analyzer
 from invsub.analyzer import (
     SubspaceCount,
     count_invariant_subspaces,
+    dimension_profile,
     real_jordan_block,
     realize_config,
     standard_jordan_block,
@@ -24,7 +25,6 @@ from invsub.spectrum import (
     BlockConfig,
     attainable_counts,
     count_for_config,
-    dimension_profile,
     enumerate_configs,
 )
 

@@ -82,6 +82,53 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+# module -> the package modules it imports at module level, the package
+# root as "__init__": combinatorics and spectrum compute M_n, exactalg and
+# analyzer count the invariant subspaces of a given matrix, and only
+# analyzer reads both
+LAYERS = {
+    "__init__": set(),
+    "combinatorics": {"__init__"},
+    "spectrum": {"__init__", "combinatorics"},
+    "exactalg": {"__init__"},
+    "analyzer": {"__init__", "combinatorics", "spectrum", "exactalg"},
+    "cli": {"spectrum"},
+}
+# module -> the package modules it imports inside a function: only cli
+# defers the matrix algebra, to the commands that run it
+DEFERRED = {"cli": {"exactalg", "analyzer"}}
+
+
+def _package_imports(nodes, modules: set[str]) -> set[str]:
+    imported = set()
+    for node in nodes:
+        if node.module:
+            imported.add(node.module)
+        else:
+            # ``from . import name`` names a submodule or a root attribute
+            imported.update(
+                alias.name if alias.name in modules else "__init__" for alias in node.names
+            )
+    return imported
+
+
+def test_package_imports_follow_the_layers():
+    paths = sorted(Path(invsub.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        functions = [node for node in nodes if isinstance(node, ast.FunctionDef)]
+        in_functions = {id(node) for function in functions for node in ast.walk(function)}
+        imports = [node for node in nodes if isinstance(node, ast.ImportFrom) and node.level]
+        found[path.stem] = (
+            _package_imports([node for node in imports if id(node) not in in_functions], modules),
+            _package_imports([node for node in imports if id(node) in in_functions], modules),
+        )
+    assert found == {module: (LAYERS[module], DEFERRED.get(module, set())) for module in LAYERS}
+
+
 def _private_names_in_docstrings(tree: ast.Module) -> set[str]:
     nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     docstrings = (ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(node, nodes))
@@ -251,7 +298,7 @@ def test_value_types_refuse_deletion(value, field):
 NOT_LOADED_AT_IMPORT = {
     "invsub.exactalg": "the largest module to compile, and spectrum and table never run it",
     "invsub.analyzer": "invsub.cli imports it in count_invariant_subspaces and selfcheck",
-    "dataclasses": "the value types share one small base, invsub._value",
+    "dataclasses": "the value types share one small base, in the package root",
     "inspect": "slow to import, and dataclasses brings it",
     "argparse": "invsub.cli loads it in build_parser and _positive_int",
     "json": "invsub.cli loads it for JSON documents and reports",
@@ -321,6 +368,16 @@ def test_integer_commands_never_load_fractions(argv, expected):
     assert (status, out) == (0, golden)
     assert ALGEBRA & loaded == (ALGEBRA if argv[0] in ("analyze", "selfcheck") else set())
     assert FRACTIONS & loaded == set()
+
+
+def test_spectrum_library_never_loads_the_matrix_algebra():
+    status, _, loaded = run_fresh(
+        "import invsub.spectrum as s; m6 = s.attainable_counts(6); "
+        "sys.exit(len(s.attainable_counts(8)) != 32 or s.attainable_counts_bruteforce(6) != m6"
+        " or set(map(s.count_for_config, list(s.enumerate_configs(6)))) != set(m6))"
+    )
+    assert status == 0 and "invsub.spectrum" in loaded
+    assert ALGEBRA & loaded == set()
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])

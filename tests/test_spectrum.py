@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invsub import spectrum
+from invsub.analyzer import dimension_profile
 from invsub.combinatorics import partition_count
 from invsub.spectrum import (
     BlockConfig,
@@ -15,7 +16,6 @@ from invsub.spectrum import (
     attainable_counts,
     attainable_counts_bruteforce,
     count_for_config,
-    dimension_profile,
     enumerate_configs,
 )
 
