@@ -56,7 +56,7 @@ from .spectrum import (
 )
 
 # `spectrum` costs grow with |M_n| (the whole command on a 2-vCPU
-# machine: 0.2-0.4 s and 35 MB at n = 64, 0.9-1.2 s and 85 MB at
+# machine: 0.2-0.3 s and 31 MB at n = 64, 0.8-1.0 s and 90 MB at
 # n = 80); `table` prints one row per configuration,
 # sum_r p(r) p(n - 2r): 468,342 rows at n = 40 and 51,491,111 at n = 64
 SPECTRUM_MAX_N = 64

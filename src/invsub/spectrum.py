@@ -15,8 +15,8 @@ trades that keep dimension and count reduce every configuration to
 units of even dimension plus at most one real 1-block, so only the
 levels of half-dimension 0..n//2 are built, in one pass per
 half-dimension that lets its units repeat any number of times.  A level
-keeps, for each part of its counts prime to 6, one bitmask of the
-exponents of 2 and 3 that occur with it.  :func:`enumerate_configs`
+keeps, for each part of its counts prime to 30, one bitmask of the
+exponents of 2, 3 and 5 that occur with it.  :func:`enumerate_configs`
 lists the configurations for per-configuration views and for
 :func:`attainable_counts_bruteforce`, M_n by its definition.  None of
 it needs the matrix algebra.
@@ -83,10 +83,23 @@ class SpectrumSet(FrozenValue):
         _check_dimension(n, 1)
         if not values:
             raise ValueError("a spectrum is never empty")
+        for value in values:
+            if type(value) is not int:
+                raise ValueError(f"invalid values: {value!r} is not an int")
         if not all(map(lt, values, values[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _of_sorted(cls, n: int, values: tuple[int, ...]) -> "SpectrumSet":
+        """The set of ``values``, which the caller proves to be a non-empty
+        tuple of ints in strictly increasing order, for a dimension ``n``
+        it has checked: nothing is checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        return self
 
     def __contains__(self, value) -> bool:
         try:
@@ -147,28 +160,35 @@ def attainable_counts(n: int) -> SpectrumSet:
 
     The levels E_0..E_{n//2} are built as an unbounded knapsack: start
     from E_0 = {1} and empty E_1..E_{n//2}, then make one pass per
-    half-dimension h, h = 1 first and the rest largest first, which for
-    m = h..n//2 in ascending order adds f * E_{m-h} to E_m for every f
-    in F(h).  By induction on the passes, after each one the level E_m
-    holds exactly the counts of multisets of units of the half-dimensions
-    passed so far with total m.  The pass over h keeps what the earlier
-    passes built, and because m ascends it reads E_{m-h} after extending
-    it: so by a second induction on m, a multiset that holds j >= 1
-    units of F(h) reaches E_m as f times one that holds j - 1 of them,
-    for the f it drops, and every value added is such a count.
+    half-dimension h = 1..n//2, in any order, which for m = h..n//2 in
+    ascending order adds f * E_{m-h} to E_m for every f in F(h).  By
+    induction on the passes, after each one the level E_m holds exactly
+    the counts of multisets of units of the half-dimensions passed so
+    far with total m.  The pass over h keeps what the earlier passes
+    built, and because m ascends it reads E_{m-h} after extending it:
+    so by a second induction on m, a multiset that holds j >= 1 units
+    of F(h) reaches E_m as f times one that holds j - 1 of them, for the
+    f it drops, and every value added is such a count.
 
-    A level is stored by the part of each count prime to 6.  By unique
-    factorization each count is 2^a * 3^b * u for exactly one (a, b, u)
-    with u prime to 6, and E_m maps u to one integer whose bit
-    a + b * stride is set exactly when 2^a * 3^b * u lies in E_m, with
-    stride = 2 * (n//2) + 1.  Every unit f of half-dimension h has
-    2-adic valuation at most 2h and 3-adic valuation at most h, so a
-    count in E_m has a <= 2m < stride and b <= m: the rows never
-    overlap.  Splitting f = 2^x * 3^y * w, w prime to 6, once per pass,
-    multiplying a whole row family by f is one shift,
-    ``E_m[u * w] |= mask << (x + y * stride)``.  The counts
-    come out by walking the set bits of E_{n//2}, 3^b * u shifted left
-    by a + n mod 2.
+    A level is stored by the part of each count prime to 30.  By unique
+    factorization each count is 2^a * 3^b * 5^c * u for exactly one
+    (a, b, c, u) with u prime to 30, and E_m maps u to one integer whose
+    bit a + stride * (b + rows * c) is set exactly when 2^a * 3^b * 5^c * u
+    lies in E_m, with stride = 2 * (n//2) + 1 and rows = n//2 + 1: the
+    bits of one c form a plane of rows rows, each stride bits wide.  Every
+    unit f of half-dimension h has 2-adic valuation at most 2h, 3-adic
+    valuation at most h and 5-adic valuation at most h/2, since 5^k
+    dividing f <= 2h + 1 gives 2h + 1 >= 5^k >= 4k + 1, so h >= 2k.  So
+    a count in E_m has a <= 2m < stride, b <= m < rows and c <= m/2: the
+    rows never overlap and neither do the planes.  Splitting
+    f = 2^x * 3^y * 5^z * w, w prime to 30, once per pass, multiplying a
+    whole family by f is one shift, ``E_m[u * w] |= mask << shift`` with
+    shift = x + stride * (y + rows * z), because the product lies in E_m
+    and so stays within its row and plane.  The counts come out by
+    walking the set bits of E_{n//2} plane by plane, then row by row:
+    bit a of row b of plane c of key u is 5^c * 3^b * u shifted left by
+    a + n mod 2.  Each count owns one bit, so they are distinct, and
+    once sorted they make the :class:`SpectrumSet` without its checks.
 
     Proof that M_n = 2^(n mod 2) * E_{n//2}.  A configuration made of
     units, plus one real 1-block when n is odd, has dimension n and
@@ -184,20 +204,16 @@ def attainable_counts(n: int) -> SpectrumSet:
     odd since every unit has even dimension.  So M_n lies in
     2^(n mod 2) * E_{n//2}.
 
-    The work grows with the number of distinct parts prime to 6 of the
+    The work grows with the number of distinct parts prime to 30 of the
     counts, not with the number of configurations.  Values are returned
     in ascending order.
     """
     _check_dimension(n, 1)
     half = n // 2
     stride = 2 * half + 1
-    levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
-    # Run first, the pass over h = 1 sees only E_0 = {1: 1}: its factors
-    # 2, 3 and 4 keep the key 1, so it makes 3 * (n//2) updates in all.
-    # Run last, it makes three per key of every level: at n = 32 the build
-    # takes 2,124 bitmask updates that way and 1,426 this way.  The rest
-    # run largest first; smallest first takes 1,490.
-    for h in (1, *range(half, 1, -1)):
+    plane = stride * (half + 1)
+    passes = []
+    for h in range(half, 0, -1):
         steps = []
         for f in (2, 3, 4) if h == 1 else (h + 1, 2 * h + 1):
             x = (f & -f).bit_length() - 1
@@ -205,26 +221,45 @@ def attainable_counts(n: int) -> SpectrumSet:
             while f % 3 == 0:
                 f //= 3
                 x += stride
+            while f % 5 == 0:
+                f //= 5
+                x += plane
             steps.append((f, x))
+        passes.append((h, steps))
+    # A pass whose factors only shift (h = 1, 2, 4 and 7) adds no key, so
+    # these run first, largest first, and see only the key 1 of the levels
+    # the passes before them filled.  The rest run largest first too.  At
+    # n = 32 the build takes 526 bitmask updates this way, 886 with h = 1
+    # first and the rest largest first, and 650 smallest first.
+    passes.sort(key=lambda p: any(w > 1 for w, _ in p[1]))
+    levels: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(half)]
+    for h, steps in passes:
         for m in range(h, half + 1):
             level = levels[m]
             for u, mask in levels[m - h].items():
                 for w, shift in steps:
                     level[u * w] = level.get(u * w, 0) | mask << shift
+    top = levels[half]
+    del levels  # no lower level is read again: free them before the values
     values = []
     row_bits = (1 << stride) - 1
-    for u, mask in levels[half].items():
-        count = u << (n % 2)
+    plane_bits = (1 << plane) - 1
+    for u, mask in top.items():
+        plane_count = u << (n % 2)
         while mask:
-            row = mask & row_bits
-            while row:
-                low = row & -row
-                values.append(count << (low.bit_length() - 1))
-                row ^= low
-            mask >>= stride
-            count *= 3
+            rows, count = mask & plane_bits, plane_count
+            while rows:
+                row = rows & row_bits
+                while row:
+                    low = row & -row
+                    values.append(count << (low.bit_length() - 1))
+                    row ^= low
+                rows >>= stride
+                count *= 3
+            mask >>= plane
+            plane_count *= 5
     values.sort()
-    return SpectrumSet(n, tuple(values))
+    return SpectrumSet._of_sorted(n, tuple(values))
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:

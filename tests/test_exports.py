@@ -155,19 +155,18 @@ def test_docstrings_name_only_private_helpers_that_exist(path):
 
 
 _CONFIG = invsub.BlockConfig((1,), (2, 1))
-_VALUES = [
-    (_CONFIG, "real_multiplicities"),
-    (invsub.Multipartition((2, 1), ((1, 1), (1,))), "composition"),
-    (invsub.RationalMatrix([[1, "1/2"], ["-2/3", 4]]), "integer_rows"),
-    (invsub.RationalPolynomial([3, "-1/2", 0, 2]), "integer_coefficients"),
-    (invsub.attainable_counts(5), "values"),
-    (invsub.SubspaceCount(_CONFIG), "signature"),
-]
+_VALUES = {
+    "BlockConfig": (_CONFIG, "real_multiplicities"),
+    "Multipartition": (invsub.Multipartition((2, 1), ((1, 1), (1,))), "composition"),
+    "RationalMatrix": (invsub.RationalMatrix([[1, "1/2"], ["-2/3", 4]]), "integer_rows"),
+    "RationalPolynomial": (invsub.RationalPolynomial([3, "-1/2", 0, 2]), "integer_coefficients"),
+    "SpectrumSet": (invsub.attainable_counts(5), "values"),
+    "SpectrumSet-12": (invsub.attainable_counts(12), "n"),
+    "SubspaceCount": (invsub.SubspaceCount(_CONFIG), "signature"),
+}
 
 
-@pytest.mark.parametrize(
-    "value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES]
-)
+@pytest.mark.parametrize("value, field", _VALUES.values(), ids=list(_VALUES))
 def test_value_types_copy_pickle_and_stay_frozen(value, field):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value)
@@ -283,9 +282,7 @@ def test_value_types_equal_only_their_own_class():
     assert Subclass((1,), (2, 1)) != _PAIR
 
 
-@pytest.mark.parametrize(
-    "value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES]
-)
+@pytest.mark.parametrize("value, field", _VALUES.values(), ids=list(_VALUES))
 def test_value_types_refuse_deletion(value, field):
     with pytest.raises(AttributeError):
         delattr(value, field)

@@ -206,6 +206,18 @@ class TestSpectrumSet:
         with pytest.raises(ValueError):
             SpectrumSet(True, (2,))
 
+    @pytest.mark.parametrize("values", [("a",), (1.5, 2.5), (True, 2), (2, "a")], ids=repr)
+    def test_rejects_values_that_are_not_ints(self, values):
+        with pytest.raises(ValueError, match="invalid values: "):
+            SpectrumSet(2, values)
+
+    def test_built_spectra_pass_the_public_checks_up_to_40(self):
+        """attainable_counts makes its SpectrumSet without the checks of
+        SpectrumSet(n, values); what it builds passes them."""
+        for n in range(1, 41):
+            built = attainable_counts(n)
+            assert SpectrumSet(n, tuple(built)) == built
+
     def test_membership_and_iteration(self):
         s = attainable_counts(4)
         assert 9 in s
@@ -361,9 +373,10 @@ class TestAttainableCounts:
                 assert value == 1, n
 
     def test_largest_powers_of_2_and_3_up_to_40(self):
-        """The largest 2-adic valuation in M_n is n (n real 1-blocks) and
-        the largest 3-adic valuation is n//2 (n//2 real 2-blocks); the
-        builder's bitmask rows rely on both bounds."""
+        """The largest 2-adic valuation in M_n is n (n real 1-blocks), the
+        largest 3-adic valuation is n//2 (n//2 real 2-blocks) and the
+        largest 5-adic valuation is n//4 (n//4 real 4-blocks); the
+        builder's bitmask rows and planes rely on these bounds."""
 
         def valuation(value, p):
             k = 0
@@ -376,6 +389,7 @@ class TestAttainableCounts:
             values = attainable_counts(n)
             assert max(valuation(v, 2) for v in values) == n
             assert max(valuation(v, 3) for v in values) == n // 2
+            assert max(valuation(v, 5) for v in values) == n // 4
 
     @given(st.data())
     def test_adding_a_part_multiplies_by_part_plus_one(self, data):
