@@ -21,11 +21,19 @@ __version__ = "0.6.1"
 
 class FrozenValue:
     """Immutable value compared, hashed and printed by the fields named
-    in its class's ``__match_args__``, each stored once by its
-    ``__init__`` through ``object.__setattr__``; instances keep a
-    ``__dict__``, so pickle and copy restore them without ``__init__``."""
+    in its class's ``__match_args__``, each stored once by its checking
+    ``__init__``; instances keep a ``__dict__``, so pickle and copy
+    restore them without ``__init__``, and so does ``_of``, but only for
+    values the caller has proved canonical, never for outside input."""
 
     __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        """The instance with ``fields``, in ``__match_args__`` order, as given."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls.__match_args__, fields))
+        return self
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -56,7 +56,7 @@ from .spectrum import (
 )
 
 # `spectrum` costs grow with |M_n| (the whole command on a 2-vCPU
-# machine: 0.2-0.3 s and 31 MB at n = 64, 0.8-1.0 s and 90 MB at
+# machine: 0.1-0.3 s and 24 MB at n = 64, 0.5-0.9 s and 62 MB at
 # n = 80); `table` prints one row per configuration,
 # sum_r p(r) p(n - 2r): 468,342 rows at n = 40 and 51,491,111 at n = 64
 SPECTRUM_MAX_N = 64
@@ -194,9 +194,10 @@ def _report(command: str, params: dict, result: dict, raw: bytes | None = None) 
 
 
 def cmd_spectrum(n: int, fmt: str) -> str:
-    values = [str(v) for v in attainable_counts(n)]
     if fmt == "text":
-        return f"M_{n} = {{{', '.join(values)}}}"
+        # one str, not one per count; a list prints [2] where a tuple prints (2,)
+        return f"M_{n} = {{{repr(list(attainable_counts(n)))[1:-1]}}}"
+    values = [str(v) for v in attainable_counts(n)]
     return _report("spectrum", {"n": n}, {"n": n, "values": values})
 
 

@@ -6,15 +6,16 @@ everything here is exact and floats are rejected at the boundary rather
 than converted.  ``RationalMatrix`` and ``RationalPolynomial`` store a
 value v in one integer form, made by ``_integer_form``: the lcm d of
 its reduced denominators and the integers dv, the rows of dA or the
-coefficients of dp.  ``entries`` and ``coefficients`` build
-``Fraction`` values on demand, and ``fractions`` (with ``decimal`` and
-``numbers``) loads only where such a value crosses the API: there, in
-``_integer_form`` for a value that is not an int, in ``_polynomial``
-for d other than 1, in ``RationalMatrix.__mul__`` and in
-``evaluate_at_matrix``; an integer matrix and its minimal polynomial
-build none.  The operations run on plain Python ints; a polynomial of
-dA rescales to the one of A coefficient by coefficient,
-c_k(A) = c_k(dA) / d^(deg - k).
+coefficients of dp.  The constructors take values from outside; a
+result the library computes, integers over a common denominator,
+reaches the same form by one gcd in ``_integer_form`` and is stored by
+``_matrix`` or ``_polynomial`` through ``FrozenValue._of``, with no
+``Fraction`` in between.  ``fractions`` (with ``decimal`` and
+``numbers``) loads only where a rational crosses the API: in
+``_integer_form`` for an input that is not an int, and in ``entries``
+and ``coefficients``, which build ``Fraction`` values on demand.  The
+operations run on plain Python ints; a polynomial of dA rescales to the
+one of A coefficient by coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
@@ -77,25 +78,24 @@ from operator import mul
 from . import FrozenValue
 
 
-def _integer_form(values: Iterable) -> tuple[int, list[int]]:
-    """(d, [d v for v in values]) with d the lcm of the reduced
-    denominators.  Ints and Fractions are taken as they are, strings
-    like ``"3/4"`` and other rationals are coerced, floats are rejected.
-    Values that are all plain ints (not bools) are their own form, d = 1;
-    any other value loads ``fractions``."""
+def _integer_form(values: Iterable, d: int = 1) -> tuple[int, list[int]]:
+    """(e, [e v / d for v in values]) with e > 0 the lcm of the reduced
+    denominators of the v / d, for a nonzero int d.  Input from outside
+    comes with d = 1: ``Fraction`` (loaded here) reads every value but a
+    plain int, ``"3/4"`` too, and floats are rejected.  The library's own
+    results come as integers over d and reach lowest terms by one gcd."""
     values = list(values)
-    if set(map(type, values)) <= {int}:
-        return 1, values
-    from fractions import Fraction
-    xs = []
-    for x in values:
-        if type(x) is not int and type(x) is not Fraction:
+    if not set(map(type, values)) <= {int}:
+        from fractions import Fraction
+        for x in values:
             if isinstance(x, float):
                 raise TypeError(f"refusing float {x!r}: exact rational input required")
-            x = Fraction(x)
-        xs.append(x)
-    d = lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) for x in xs]
+        xs = [Fraction(x) for x in values]
+        e = lcm(*(x.denominator for x in xs))
+        values = [x.numerator * (e // x.denominator) for x in xs]
+        d *= e
+    g = gcd(d, *values) if d > 0 else -gcd(d, *values)
+    return d // g, values if g == 1 else [v // g for v in values]
 
 
 class RationalPolynomial(FrozenValue):
@@ -178,10 +178,8 @@ class RationalPolynomial(FrozenValue):
 
 def _polynomial(p: list[int], d: int) -> RationalPolynomial:
     """The polynomial p / d of an integer polynomial p and a nonzero int d."""
-    if d == 1:
-        return RationalPolynomial(p)
-    from fractions import Fraction
-    return RationalPolynomial(Fraction(c, d) for c in p)
+    d, ints = _integer_form(p, d)
+    return RationalPolynomial._of(d, tuple(ints))
 
 
 class RationalMatrix(FrozenValue):
@@ -213,8 +211,7 @@ class RationalMatrix(FrozenValue):
                     f"expected {n}"
                 )
         object.__setattr__(self, "denominator", d)
-        rows = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
-        object.__setattr__(self, "integer_rows", rows)
+        object.__setattr__(self, "integer_rows", tuple(zip(*[iter(ints)] * n)))
 
     @property
     def entries(self) -> "tuple[tuple[Fraction, ...], ...]":
@@ -237,24 +234,22 @@ class RationalMatrix(FrozenValue):
         if not blocks:
             raise ValueError("need at least one block")
         n = sum(b.n for b in blocks)
+        d = lcm(*(b.denominator for b in blocks))
         rows = [[0] * n for _ in range(n)]
         offset = 0
         for block in blocks:
-            for i, row in enumerate(block.integer_rows if block.denominator == 1 else block.entries):
-                rows[offset + i][offset:offset + block.n] = row
+            scale = d // block.denominator
+            for i, row in enumerate(block.integer_rows):
+                rows[offset + i][offset:offset + block.n] = [scale * x for x in row]
             offset += block.n
-        return cls(rows)
+        return _matrix(rows, d)
 
     def __mul__(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
-        from fractions import Fraction
-        d = self.denominator * other.denominator
         cols = tuple(zip(*other.integer_rows))
-        return RationalMatrix(
-            [Fraction(sum(map(mul, row, col)), d) for col in cols]
-            for row in self.integer_rows
-        )
+        rows = ([sum(map(mul, row, col)) for col in cols] for row in self.integer_rows)
+        return _matrix(rows, self.denominator * other.denominator)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.integer_rows))
@@ -280,17 +275,22 @@ class RationalMatrix(FrozenValue):
         return f"RationalMatrix([{rows}])"
 
 
+def _matrix(rows: Iterable[Iterable[int]], d: int) -> RationalMatrix:
+    """The matrix B / d of the rows of an integer matrix B and a nonzero int d."""
+    rows = list(rows)
+    d, ints = _integer_form(chain.from_iterable(rows), d)
+    return RationalMatrix._of(d, tuple(zip(*[iter(ints)] * len(rows))))
+
+
 def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatrix:
     """Evaluate p = P / D of degree m at A = B / d: column j is q(B) e_j
     with q_k = P_k d^(m-k), over D d^m."""
-    from fractions import Fraction
     n, d = a.n, a.denominator
     m = max(p.degree, 0)
     q = [c * d ** (m - k) for k, c in enumerate(p.integer_coefficients)]
     units = ([int(i == j) for i in range(n)] for j in range(n))
     cols = [_horner(q, a.integer_rows, e) for e in units]
-    divisor = p.denominator * d**m
-    return RationalMatrix([Fraction(x, divisor) for x in row] for row in zip(*cols))
+    return _matrix(zip(*cols), p.denominator * d**m)
 
 
 # ---- integer polynomials ---------------------------------------------------

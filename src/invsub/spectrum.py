@@ -91,16 +91,6 @@ class SpectrumSet(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _of_sorted(cls, n: int, values: tuple[int, ...]) -> "SpectrumSet":
-        """The set of ``values``, which the caller proves to be a non-empty
-        tuple of ints in strictly increasing order, for a dimension ``n``
-        it has checked: nothing is checked again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-        return self
-
     def __contains__(self, value) -> bool:
         try:
             i = bisect_left(self.values, value)
@@ -135,11 +125,12 @@ def enumerate_configs(n: int) -> Iterator[BlockConfig]:
     For each r = 0..n//2 (total size claimed by conjugate-pair blocks,
     in pairs), pairs every partition of r with every partition of
     n - 2r.  Configurations are streamed, not materialized; ``n`` is
-    checked at the call.
+    checked at the call, and ``partitions_of`` yields canonical parts,
+    so no ``BlockConfig`` check runs.
     """
     _check_dimension(n, 1)
     return (
-        BlockConfig(pairs, reals)
+        BlockConfig._of(pairs, reals)
         for r in range(n // 2 + 1)
         for pairs in partitions_of(r)
         for reals in partitions_of(n - 2 * r)
@@ -259,7 +250,7 @@ def attainable_counts(n: int) -> SpectrumSet:
             mask >>= plane
             plane_count *= 5
     values.sort()
-    return SpectrumSet._of_sorted(n, tuple(values))
+    return SpectrumSet._of(n, tuple(values))
 
 
 def attainable_counts_bruteforce(n: int) -> SpectrumSet:

@@ -19,6 +19,7 @@ from invsub.cli import (
     SPECTRUM_MAX_N,
     TABLE_MAX_N,
     MatrixInputError,
+    cmd_spectrum,
     cmd_table,
     main,
     parse_matrix_document,
@@ -53,6 +54,12 @@ class TestSpectrumCommand:
         status, out, _ = run(capsys, "spectrum", "1")
         assert status == 0
         assert out == "M_1 = {2}\n"
+
+    def test_text_joins_every_count_up_to_40(self):
+        # the text form prints the counts in one piece; n = 1 has one value
+        for n in range(1, 41):
+            expected = f"M_{n} = {{{', '.join(map(str, attainable_counts(n)))}}}"
+            assert cmd_spectrum(n, "text") == expected
 
     def test_json_round_trips_for_small_n(self, capsys):
         for n in range(1, 13):

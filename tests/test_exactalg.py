@@ -296,6 +296,40 @@ class TestRationalMatrixStorage:
         assert (a * b).denominator == built.denominator
         assert (a * b).integer_rows == built.integer_rows
 
+    @pytest.mark.parametrize(
+        "compute, form",
+        [
+            # mu = x^2 - 5x - 2: the constant term, the divisor, is negative
+            (
+                lambda: RationalMatrix([[1, 2], [3, 4]]).inverse(),
+                (2, ((-4, 2), (3, -1))),
+            ),
+            # 1/2 and 1/3 over 6, but every entry cancels to 0
+            (
+                lambda: RationalMatrix([[1, "1/2"], [2, 1]])
+                * RationalMatrix([["1/3", 1], ["-2/3", -2]]),
+                (1, ((0, 0), (0, 0))),
+            ),
+            (
+                lambda: RationalMatrix.block_diagonal(
+                    [
+                        RationalMatrix([["1/2"]]),
+                        RationalMatrix([["1/3", 1], [0, "2/3"]]),
+                        RationalMatrix([[5]]),
+                    ]
+                ),
+                (6, ((3, 0, 0, 0), (0, 2, 6, 0), (0, 0, 4, 0), (0, 0, 0, 30))),
+            ),
+        ],
+        ids=["inverse-negative-constant", "zero-product", "block-diagonal-2-3-1"],
+    )
+    def test_computed_results_are_in_lowest_terms(self, compute, form):
+        result = compute()
+        assert (result.denominator, result.integer_rows) == form
+        built = RationalMatrix(result.entries)
+        assert (built.denominator, built.integer_rows) == form
+        assert result == built and hash(result) == hash(built)
+
 
 class TestRationalPolynomialStorage:
     """A polynomial p is stored as its denominator d, the lcm of the

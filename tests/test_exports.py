@@ -1,5 +1,6 @@
 import ast
 import copy
+import math
 import os
 import pickle
 import re
@@ -365,6 +366,67 @@ def test_integer_commands_never_load_fractions(argv, expected):
     assert (status, out) == (0, golden)
     assert ALGEBRA & loaded == (ALGEBRA if argv[0] in ("analyze", "selfcheck") else set())
     assert FRACTIONS & loaded == set()
+
+
+# integer inputs whose products, inverse, evaluations and quotients are
+# rational: the inverse has denominator det(A) = 25
+_A = [[2, 1, 0], [0, 3, 1], [1, 0, 4]]
+_B = [[1, -2, 0], [3, 0, 5], [0, 7, -1]]
+_F, _G = [1, 0, -3, 0, 2], [1, -1, 3]  # divided by 3x^2 - x + 1, not monic
+_COMPUTE = f"""
+from invsub.exactalg import RationalMatrix, RationalPolynomial, evaluate_at_matrix, min_poly
+a, b = RationalMatrix({_A}), RationalMatrix({_B})
+inverse = a.inverse()
+q, r = divmod(RationalPolynomial({_F}), RationalPolynomial({_G}))
+matrices = [a * b, inverse, evaluate_at_matrix(min_poly(a), a),
+            RationalMatrix.block_diagonal([inverse, b, inverse]), evaluate_at_matrix(q, a)]
+print([(m.denominator, m.integer_rows) for m in matrices])
+print([(p.denominator, p.integer_coefficients) for p in (q, r)])
+"""
+
+
+def _fraction_product(x, y):
+    return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_computed_rationals_of_integer_inputs_never_load_fractions():
+    # every result is rebuilt from its integer form with Fraction here, in
+    # the test process, and checked by Fraction arithmetic of its own
+    from fractions import Fraction
+
+    status, out, loaded = run_fresh(_COMPUTE)
+    assert status == 0
+    assert FRACTIONS & loaded == set()
+    matrices, polynomials = map(ast.literal_eval, out.splitlines())
+    for d, ints in [(d, [x for row in rows for x in row]) for d, rows in matrices] + polynomials:
+        assert d > 0 and math.gcd(d, *ints) == 1
+    product, inverse, annihilated, blocks, q_of_a = (
+        [[Fraction(x, d) for x in row] for row in rows] for d, rows in matrices
+    )
+    (dq, q), (dr, r) = polynomials
+    q, r = [Fraction(c, dq) for c in q], [Fraction(c, dr) for c in r]
+    assert product == _fraction_product(_A, _B)
+    assert _fraction_product(_A, inverse) == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert annihilated == [[0] * 3 for _ in range(3)]
+    zero = [0] * 3
+    assert blocks == (
+        [row + zero + zero for row in inverse]
+        + [zero + row + zero for row in _B]
+        + [zero + zero + row for row in inverse]
+    )
+    # F = Q G + R with deg R < deg G
+    qg = [0] * len(_F)
+    for i, x in enumerate(q):
+        for j, y in enumerate(_G):
+            qg[i + j] += x * y
+    assert [x + (r[k] if k < len(r) else 0) for k, x in enumerate(qg)] == _F
+    assert len(r) < len(_G)
+    # Q(A) by Horner on Fraction rows
+    expected = [[Fraction(0)] * 3 for _ in range(3)]
+    for c in reversed(q):
+        expected = _fraction_product(expected, _A)
+        expected = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(expected)]
+    assert q_of_a == expected
 
 
 def test_spectrum_library_never_loads_the_matrix_algebra():

@@ -162,6 +162,17 @@ class TestEnumerateConfigs:
         )
         assert len(configs) == expected
 
+    def test_trusted_configurations_equal_the_public_ones_up_to_16(self):
+        # enumerate_configs builds through BlockConfig._of, unchecked; the
+        # public constructor checks and sorts the same parts
+        for n in range(1, 17):
+            for config in enumerate_configs(n):
+                public = BlockConfig(
+                    config.complex_pair_multiplicities, config.real_multiplicities
+                )
+                assert config == public and hash(config) == hash(public)
+                assert vars(config) == vars(public)
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             enumerate_configs(0)
