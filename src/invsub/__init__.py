@@ -21,19 +21,22 @@ __version__ = "0.6.1"
 
 class FrozenValue:
     """Immutable value compared, hashed and printed by the fields named
-    in its class's ``__match_args__``, each stored once by its checking
-    ``__init__``; instances keep a ``__dict__``, so pickle and copy
-    restore them without ``__init__``, and so does ``_of``, but only for
-    values the caller has proved canonical, never for outside input."""
+    in its class's ``__match_args__``, which only ``_store`` writes: a
+    checking ``__init__`` validates and then stores, and ``_of``, which
+    skips ``__init__``, stores only what its caller proved canonical.
+    Instances keep a ``__dict__``, so pickle and copy need no ``__init__``."""
 
     __match_args__: tuple[str, ...] = ()
+
+    def _store(self, *fields):
+        """Store ``fields`` in ``__match_args__`` order; returns self."""
+        self.__dict__.update(zip(self.__match_args__, fields, strict=True))
+        return self
 
     @classmethod
     def _of(cls, *fields):
         """The instance with ``fields``, in ``__match_args__`` order, as given."""
-        self = object.__new__(cls)
-        self.__dict__.update(zip(cls.__match_args__, fields))
-        return self
+        return object.__new__(cls)._store(*fields)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -12,6 +12,9 @@ multiplicity level: the Sturm chain of f, which ends in gcd(f, f'),
 then that of the gcd, and so on.  A squarefree polynomial needs one.
 The count by dimension, :func:`dimension_profile`, is a product of
 polynomials, so it lives here beside :class:`SubspaceCount`.
+
+:func:`realize_config` goes the other way, from a signature to Jordan
+blocks, and ``_jordan_matrix`` lays out both kinds from one cell.
 """
 
 from . import FrozenValue
@@ -20,6 +23,7 @@ from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
     _mul,
+    _units,
     min_poly,
     squarefree_root_counts,
 )
@@ -59,7 +63,7 @@ class SubspaceCount(FrozenValue):
     def __init__(self, signature: BlockConfig | None = None) -> None:
         if signature is not None and not isinstance(signature, BlockConfig):
             raise TypeError(f"signature must be a BlockConfig or None, not {signature!r}")
-        object.__setattr__(self, "signature", signature)
+        self._store(signature)
 
     @property
     def count(self) -> int | None:
@@ -107,53 +111,45 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
     return SubspaceCount(_signature(minimal))
 
 
+def _jordan_matrix(cell: list[list], size: int) -> RationalMatrix:
+    """The block matrix with the square ``cell`` in each of ``size``
+    diagonal blocks and identity cells on the block superdiagonal."""
+    m = len(cell)
+    n = m * size
+    # a row is cut at column n, which drops the last block's identity cell
+    return RationalMatrix(
+        ([0] * k + row + unit + [0] * n)[:n]
+        for k in range(0, n, m)
+        for row, unit in zip(cell, _units(m))
+    )
+
+
 def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
     """size x size Jordan block: ``eigenvalue`` on the diagonal, 1 on the
     superdiagonal."""
     _check_dimension(size, 1)
-    return RationalMatrix(
-        tuple(
-            eigenvalue if i == j else (1 if j == i + 1 else 0)
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    return _jordan_matrix([[eigenvalue]], size)
 
 
 def real_jordan_block(a, b, size: int) -> RationalMatrix:
-    """2*size x 2*size real Jordan block for the conjugate pair a +- bi.
-
-    Built from 2x2 rotation-scaling cells C = [[a, -b], [b, a]] on the
-    diagonal with 2x2 identity cells on the superdiagonal.
-    """
+    """2*size x 2*size real Jordan block for the conjugate pair a +- bi:
+    the cell [[a, -b], [b, a]] on the diagonal, 2x2 identity cells above."""
     _check_dimension(size, 1)
     if b <= 0:
         raise ValueError("imaginary part must be positive")
-    n = 2 * size
-    rows = [[0] * n for _ in range(n)]
-    for cell in range(size):
-        i = 2 * cell
-        rows[i][i] = a
-        rows[i][i + 1] = -b
-        rows[i + 1][i] = b
-        rows[i + 1][i + 1] = a
-        if cell + 1 < size:
-            rows[i][i + 2] = 1
-            rows[i + 1][i + 3] = 1
-    return RationalMatrix(rows)
+    return _jordan_matrix([[a, -b], [b, a]], size)
 
 
 def realize_config(config: BlockConfig) -> RationalMatrix:
     """A block-diagonal rational matrix realizing ``config``.
 
-    Roots are assigned deterministically and pairwise distinct so no
-    root ever owns two blocks: conjugate pairs get 0 +- bi with
-    b = 1, 2, ..., then single eigenvalues 1, 2, ....  Analyzing the
-    result therefore reproduces exactly the count of ``config``.
+    A root of multiplicity k gets one Jordan block, of size k, or 2k
+    for a conjugate pair.  Roots are assigned deterministically and
+    pairwise distinct so no root ever owns two blocks: conjugate pairs
+    get 0 +- bi with b = 1, 2, ..., then single eigenvalues 1, 2, ....
+    Analyzing the result therefore reproduces the count of ``config``.
     """
-    blocks = []
-    for i, k in enumerate(config.complex_pair_multiplicities):
-        blocks.append(real_jordan_block(0, i + 1, k))
-    for i, k in enumerate(config.real_multiplicities):
-        blocks.append(standard_jordan_block(i + 1, k))
-    return RationalMatrix.block_diagonal(blocks)
+    return RationalMatrix.block_diagonal(
+        [real_jordan_block(0, b, k) for b, k in enumerate(config.complex_pair_multiplicities, 1)]
+        + [standard_jordan_block(root, k) for root, k in enumerate(config.real_multiplicities, 1)]
+    )

@@ -13,14 +13,13 @@ A report's ``input_sha256`` digests the input file's bytes for
 ``analyze`` and the canonical JSON of the parameters otherwise.
 
 ``parse_matrix_document`` reads a document row by row, by one of two
-routes that give the same matrix or the same error.  A row of JSON ints
-is kept as it is, and a row of strings that one regular expression
-passes as integer tokens is converted by one ``int`` pass: the grammar
-comes first, since ``int`` also takes ``1_0`` and non-ASCII digits.
-Any other row, or one that ``int`` refuses, is read cell by cell by
-``_parse_cell``, the one place that words an error.  ``n`` and
-``--max-n`` pass the same grammar's integer tokens only, in
-``_positive_int``.
+routes that give the same matrix or the same error.  A row of strings
+that one regular expression passes as integer tokens is converted by
+one ``int`` pass: the grammar comes first, since ``int`` also takes
+``1_0`` and non-ASCII digits.  Any other row, JSON ints included, or
+one that ``int`` refuses, is read cell by cell by ``_parse_cell``, the
+one place that words an error.  ``n`` and ``--max-n`` pass the same
+grammar's integer tokens only, in ``_positive_int``.
 
 Each run of the tool is a fresh process that pays at startup for every
 module imported here, and compiles every one of them from source when
@@ -122,11 +121,8 @@ def _parse_cell(cell, row: int, col: int) -> "int | Fraction":
 
 
 def _parse_row(row: list, i: int) -> list:
-    # true and false are bools, not ints, so they go cell by cell
-    kinds = set(map(type, row))
-    if kinds <= {int}:
-        return row
-    if kinds == {str} and _INTEGER_ROW.match(" ".join(row)):
+    # only a row of integer tokens converts whole; JSON ints go cell by cell
+    if set(map(type, row)) == {str} and _INTEGER_ROW.match(" ".join(row)):
         try:
             return list(map(int, row))
         except ValueError:

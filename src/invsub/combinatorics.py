@@ -115,8 +115,7 @@ class Multipartition(FrozenValue):
                 raise ValueError(f"not a partition: {theta}")
             if sum(theta) != part:
                 raise ValueError(f"{theta} is not a partition of {part}")
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "partitions", partitions)
+        self._store(composition, partitions)
 
     @property
     def n(self) -> int:

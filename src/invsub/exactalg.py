@@ -48,7 +48,9 @@ Each operation has one implementation:
   the answer is certified; a prime that fails restarts the search with
   the next one.
 * ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
-  vector and ``evaluate_at_matrix`` to each unit vector.
+  vector and ``evaluate_at_matrix`` to each unit vector.  ``_units``
+  makes every identity row: these, the last start vectors of ``_span``,
+  ``identity`` and the identity cells of the analyzer's Jordan blocks.
   ``RationalMatrix.inverse`` has no elimination of its own: writing
   the minimal polynomial mu(x) = x q(x) + c, mu(A) = 0 gives
   A^-1 = -q(A) / c.
@@ -98,6 +100,11 @@ def _integer_form(values: Iterable, d: int = 1) -> tuple[int, list[int]]:
     return d // g, values if g == 1 else [v // g for v in values]
 
 
+def _units(n: int) -> Iterator[list[int]]:
+    """The rows e_1, ..., e_n of the n x n identity matrix, as new lists."""
+    return ([int(i == j) for j in range(n)] for i in range(n))
+
+
 class RationalPolynomial(FrozenValue):
     """Dense polynomial with exact rational coefficients, stored as integers.
 
@@ -116,8 +123,7 @@ class RationalPolynomial(FrozenValue):
 
     def __init__(self, coefficients: Iterable) -> None:
         d, ints = _integer_form(coefficients)
-        object.__setattr__(self, "denominator", d)
-        object.__setattr__(self, "integer_coefficients", tuple(_strip(ints)))
+        self._store(d, tuple(_strip(ints)))
 
     @property
     def coefficients(self) -> "tuple[Fraction, ...]":
@@ -210,8 +216,7 @@ class RationalMatrix(FrozenValue):
                     f"matrix is not square: row {i + 1} has {len(row)} entries, "
                     f"expected {n}"
                 )
-        object.__setattr__(self, "denominator", d)
-        object.__setattr__(self, "integer_rows", tuple(zip(*[iter(ints)] * n)))
+        self._store(d, tuple(zip(*[iter(ints)] * n)))
 
     @property
     def entries(self) -> "tuple[tuple[Fraction, ...], ...]":
@@ -226,7 +231,7 @@ class RationalMatrix(FrozenValue):
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(_units(n))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["RationalMatrix"]) -> "RationalMatrix":
@@ -288,8 +293,7 @@ def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatr
     n, d = a.n, a.denominator
     m = max(p.degree, 0)
     q = [c * d ** (m - k) for k, c in enumerate(p.integer_coefficients)]
-    units = ([int(i == j) for i in range(n)] for j in range(n))
-    cols = [_horner(q, a.integer_rows, e) for e in units]
+    cols = [_horner(q, a.integer_rows, e) for e in _units(n)]
     return _matrix(zip(*cols), p.denominator * d**m)
 
 
@@ -557,8 +561,7 @@ def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[l
     for _ in range(2 * n):
         x = (1664525 * x + 1013904223) % 2**32
         dense.append((x >> 20) + 1)
-    units = ([int(i == j) for j in range(n)] for i in range(n))
-    for v in chain((dense[:n], dense[n:]), units):
+    for v in chain((dense[:n], dense[n:]), _units(n)):
         start = len(span.pivots)
         vectors, y = _krylov(step, v, span)
         if len(span.pivots) > start:

@@ -52,16 +52,15 @@ class BlockConfig(FrozenValue):
     __match_args__ = ("complex_pair_multiplicities", "real_multiplicities")
 
     def __init__(self, complex_pair_multiplicities, real_multiplicities) -> None:
-        for name, parts in (
-            ("complex_pair_multiplicities", complex_pair_multiplicities),
-            ("real_multiplicities", real_multiplicities),
-        ):
+        fields = []
+        for parts in (complex_pair_multiplicities, real_multiplicities):
             parts = tuple(parts)
             if not all(type(k) is int and k >= 1 for k in parts):
                 raise ValueError(f"invalid multiplicities: {parts}")
-            object.__setattr__(self, name, tuple(sorted(parts, reverse=True)))
-        if self.n < 1:
+            fields.append(tuple(sorted(parts, reverse=True)))
+        if not any(fields):
             raise ValueError("a configuration needs at least one root")
+        self._store(*fields)
 
     @property
     def n(self) -> int:
@@ -88,8 +87,7 @@ class SpectrumSet(FrozenValue):
                 raise ValueError(f"invalid values: {value!r} is not an int")
         if not all(map(lt, values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
+        self._store(n, values)
 
     def __contains__(self, value) -> bool:
         try:

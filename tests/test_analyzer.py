@@ -96,7 +96,76 @@ class TestSubspaceCount:
             SubspaceCount(*arguments)
 
 
+# Jordan blocks of sizes 1-4 written out by hand: "L" stands for the
+# eigenvalue, "a" and "b" for the parts of the pair a +- bi, "-b" for -b
+STANDARD_BLOCKS = [
+    [["L"]],
+    [["L", 1], [0, "L"]],
+    [["L", 1, 0], [0, "L", 1], [0, 0, "L"]],
+    [["L", 1, 0, 0], [0, "L", 1, 0], [0, 0, "L", 1], [0, 0, 0, "L"]],
+]
+REAL_BLOCKS = [
+    [["a", "-b"], ["b", "a"]],
+    [
+        ["a", "-b", 1, 0],
+        ["b", "a", 0, 1],
+        [0, 0, "a", "-b"],
+        [0, 0, "b", "a"],
+    ],
+    [
+        ["a", "-b", 1, 0, 0, 0],
+        ["b", "a", 0, 1, 0, 0],
+        [0, 0, "a", "-b", 1, 0],
+        [0, 0, "b", "a", 0, 1],
+        [0, 0, 0, 0, "a", "-b"],
+        [0, 0, 0, 0, "b", "a"],
+    ],
+    [
+        ["a", "-b", 1, 0, 0, 0, 0, 0],
+        ["b", "a", 0, 1, 0, 0, 0, 0],
+        [0, 0, "a", "-b", 1, 0, 0, 0],
+        [0, 0, "b", "a", 0, 1, 0, 0],
+        [0, 0, 0, 0, "a", "-b", 1, 0],
+        [0, 0, 0, 0, "b", "a", 0, 1],
+        [0, 0, 0, 0, 0, 0, "a", "-b"],
+        [0, 0, 0, 0, 0, 0, "b", "a"],
+    ],
+]
+
+
+def _filled(template, values):
+    return RationalMatrix([[values.get(x, x) for x in row] for row in template])
+
+
 class TestJordanBlocks:
+    # (the argument as given, its value)
+    @pytest.mark.parametrize(
+        "eigenvalue, value",
+        [(-2, -2), (Fraction(3, 4), Fraction(3, 4)), ("-5/3", Fraction(-5, 3)), (True, 1), (False, 0)],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_standard_blocks_match_the_written_out_ones(self, eigenvalue, value, size):
+        expected = _filled(STANDARD_BLOCKS[size - 1], {"L": value})
+        assert standard_jordan_block(eigenvalue, size) == expected
+
+    # (a and b as given, their values)
+    @pytest.mark.parametrize(
+        "a, b, values",
+        [
+            (0, 1, (0, 1)),
+            (-3, 2, (-3, 2)),
+            (Fraction(1, 2), Fraction(7, 3), (Fraction(1, 2), Fraction(7, 3))),
+            ("-2/3", 5, (Fraction(-2, 3), 5)),
+            (True, True, (1, 1)),
+            (False, Fraction(1, 9), (0, Fraction(1, 9))),
+        ],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_real_blocks_match_the_written_out_ones(self, a, b, values, size):
+        va, vb = values
+        expected = _filled(REAL_BLOCKS[size - 1], {"a": va, "b": vb, "-b": -vb})
+        assert real_jordan_block(a, b, size) == expected
+
     def test_standard_block_entries(self):
         block = standard_jordan_block(Fraction(1), 2)
         assert block == RationalMatrix([[1, 1], [0, 1]])
@@ -120,8 +189,9 @@ class TestJordanBlocks:
         )
 
     def test_real_block_needs_nonzero_imaginary_part(self):
-        with pytest.raises(ValueError):
-            real_jordan_block(Fraction(1), Fraction(0), 1)
+        for b in (Fraction(0), 0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="imaginary part must be positive"):
+                real_jordan_block(Fraction(1), b, 1)
 
     @pytest.mark.parametrize("size", [True, 2.0, "3", 0])
     def test_rejects_a_size_that_is_not_a_positive_int(self, size):
@@ -129,6 +199,9 @@ class TestJordanBlocks:
             standard_jordan_block(Fraction(1), size)
         with pytest.raises(ValueError, match="dimension must be a positive int"):
             real_jordan_block(Fraction(0), Fraction(1), size)
+        # the size is checked before the imaginary part
+        with pytest.raises(ValueError, match="dimension must be a positive int"):
+            real_jordan_block(Fraction(0), Fraction(0), size)
 
 
 class TestRealizeConfig:

@@ -701,8 +701,9 @@ def near_token_matrices(draw):
 
 
 class TestIntegerRows:
-    """Rows of integer tokens and of JSON ints convert in one pass; the
-    reader must accept and refuse exactly what _parse_cell does."""
+    """Rows of integer tokens convert in one pass, and JSON rows of ints
+    go cell by cell; the reader must accept and refuse exactly what
+    _parse_cell does."""
 
     @pytest.mark.parametrize("token", OFF_GRAMMAR_TOKENS)
     def test_off_grammar_token_in_an_integer_row(self, token):

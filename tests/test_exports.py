@@ -178,6 +178,17 @@ def test_value_types_copy_pickle_and_stay_frozen(value, field):
             setattr(value, name, None)
 
 
+@pytest.mark.parametrize("value", [value for value, _ in _VALUES.values()], ids=list(_VALUES))
+def test_value_types_store_exactly_their_match_args(value):
+    # every field goes through FrozenValue._store, under its name in
+    # __match_args__ and under no other name
+    cls = type(value)
+    assert list(vars(value)) == list(cls.__match_args__)
+    twin = cls._of(*value._fields())
+    assert twin == value
+    assert vars(twin) == vars(value)
+
+
 _PAIR = invsub.BlockConfig((1,), (2, 1))
 _PINNED_REPRS = [
     (_PAIR, "BlockConfig(complex_pair_multiplicities=(1,), real_multiplicities=(2, 1))"),
