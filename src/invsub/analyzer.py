@@ -22,6 +22,7 @@ from .combinatorics import _check_dimension
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
+    _integer_form,
     _mul,
     _units,
     min_poly,
@@ -133,10 +134,16 @@ def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
 
 def real_jordan_block(a, b, size: int) -> RationalMatrix:
     """2*size x 2*size real Jordan block for the conjugate pair a +- bi:
-    the cell [[a, -b], [b, a]] on the diagonal, 2x2 identity cells above."""
+    the cell [[a, -b], [b, a]] on the diagonal, 2x2 identity cells above.
+    ``b`` is read by the rules of a matrix entry before its sign is
+    checked, so ``"1/2"`` is a value and a float is refused as given."""
     _check_dimension(size, 1)
+    d, (b,) = _integer_form([b])
     if b <= 0:
         raise ValueError("imaginary part must be positive")
+    if d > 1:
+        from fractions import Fraction
+        b = Fraction(b, d)
     return _jordan_matrix([[a, -b], [b, a]], size)
 
 

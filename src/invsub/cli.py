@@ -272,7 +272,7 @@ REFERENCE_SPECTRUM_4 = (3, 4, 5, 6, 8, 9, 12, 16)
 def _selfcheck_results(max_n: int):
     for n in range(1, max_n + 1):
         counts = attainable_counts(n)
-        ok = tuple(counts) == tuple(attainable_counts_bruteforce(n))
+        ok = counts == attainable_counts_bruteforce(n)
         yield f"spectrum n={n} matches brute force ({len(counts)} values)", ok
     if max_n >= 4:
         ok = tuple(attainable_counts(4)) == REFERENCE_SPECTRUM_4
@@ -280,20 +280,13 @@ def _selfcheck_results(max_n: int):
     from .analyzer import SubspaceCount, realize_config
 
     for n in range(1, min(max_n, ROUNDTRIP_LIMIT) + 1):
-        total = 0
-        ok = True
-        for config in enumerate_configs(n):
-            total += 1
-            outcome = count_invariant_subspaces(realize_config(config))
-            if outcome != SubspaceCount(config):
-                ok = False
-        yield f"analyzer round-trip n={n} ({total} configurations)", ok
+        configs = list(enumerate_configs(n))
+        ok = all(count_invariant_subspaces(realize_config(c)) == SubspaceCount(c) for c in configs)
+        yield f"analyzer round-trip n={n} ({len(configs)} configurations)", ok
 
 
 def cmd_selfcheck(max_n: int, fmt: str) -> tuple[str, int]:
-    checks = [
-        {"name": name, "passed": ok} for name, ok in _selfcheck_results(max_n)
-    ]
+    checks = [{"name": name, "passed": ok} for name, ok in _selfcheck_results(max_n)]
     failures = sum(1 for check in checks if not check["passed"])
     status = 1 if failures else 0
     if fmt == "json":
@@ -303,10 +296,8 @@ def cmd_selfcheck(max_n: int, fmt: str) -> tuple[str, int]:
         f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}"
         for check in checks
     ]
-    if failures:
-        lines.append(f"{failures} of {len(checks)} checks FAILED")
-    else:
-        lines.append(f"all {len(checks)} checks passed")
+    total = len(checks)
+    lines.append(f"{failures} of {total} checks FAILED" if failures else f"all {total} checks passed")
     return "\n".join(lines), status
 
 

@@ -26,27 +26,34 @@ Each operation has one implementation:
   monic one of A.  The value types carry only the arithmetic that the
   library's two questions and their checks use: ``divmod`` and ``%``
   of polynomials, and ``*``, ``inverse`` and ``identity`` of matrices.
-* Krylov chains v, Bv, B^2 v, ... of B = dA run through one
-  elimination modulo a prime p < 2^30, ``_Elimination``: an LU of the
-  vectors entered so far, built one vector at a time, in which each row
-  of a vector is reduced once, by one sum of products mod p.
-  ``_krylov`` enters a chain until a vector depends on the earlier ones.
-  The primes come from ``_primes``, in a fixed order.
-* ``_span`` is the one walk over the start vectors, two fixed dense
-  vectors with entries in 1..4096 and then e_1, ..., e_n: their chains
-  enter one such elimination, each after the earlier ones, until it is
-  full.  The first dense chain alone fills it for almost every
+* Krylov chains v, Bv, B^2 v, ... of the integer matrix B = dA are
+  exact, and ``_product`` is the one matrix-vector product: it steps the
+  chains and serves ``_horner``, ``_lifted``'s residual and the product
+  of matrices.  The chains run through one elimination modulo a prime
+  p < 2^30, ``_Elimination``: an LU of the vectors entered so far,
+  built one vector at a time, in which each row of a vector is reduced
+  once, by one sum of products mod p.  ``_krylov`` enters a chain of B
+  until a vector depends on the earlier ones.  The primes come from
+  ``_primes``, in a fixed order.
+* ``_span(b, p)`` is the one walk over the start vectors, two fixed
+  dense vectors with entries in 1..4096 and then e_1, ..., e_n: their
+  chains enter one such elimination, each after the earlier ones, until
+  it is full.  The first dense chain alone fills it for almost every
   nonderogatory matrix, and the unit vectors guarantee that it fills.
-  ``char_poly`` walks it mod p and multiplies the chains' quotient
-  polynomials (Keller-Gehrig over F_p), combining primes by the CRT up
-  to a Hadamard bound.  ``min_poly`` walks it exactly and takes the lcm
-  of the minimal polynomials of the start vectors: the first chain's
-  from the walk's own LU, and after it a vector v extends the lcm mu
-  by the chain of mu(A) v, on an elimination of its own.
-  ``_lifted`` lifts each chain's polynomial from its LU mod p to Z
-  p-adically (Dixon) and accepts it only on an exact zero residual, so
-  the answer is certified; a prime that fails restarts the search with
-  the next one.
+  ``min_poly`` takes the lcm of the minimal polynomials of the start
+  vectors: the first chain's from the walk's own LU, and after it a
+  vector v extends the lcm mu by the chain of mu(A) v, on an
+  elimination of its own.  ``_lifted`` lifts each chain's polynomial
+  from its LU mod p to Z p-adically (Dixon) and accepts it only on an
+  exact zero residual, so the answer is certified; a prime that fails
+  restarts the search with the next one.
+* ``char_poly`` is mu r: mu from ``min_poly``'s walk, and the
+  n - deg mu lower coefficients of r by the CRT, each prime's residues
+  from the product of the walk's quotient polynomials (Keller-Gehrig
+  over F_p) divided by mu.  ``_bound(b, k)`` = 2 (1 + R)^k, R the
+  largest absolute row sum of B, is the one coefficient bound: it ends
+  both the lift of a chain of length k and the CRT for r.  A
+  nonderogatory matrix needs no CRT prime.
 * ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
   vector and ``evaluate_at_matrix`` to each unit vector.  ``_units``
   makes every identity row: these, the last start vectors of ``_span``,
@@ -72,9 +79,9 @@ integer lists and coefficient lists of their own, so none of them
 shares this module's arithmetic.
 """
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from . import FrozenValue
@@ -253,7 +260,7 @@ class RationalMatrix(FrozenValue):
         if not isinstance(other, RationalMatrix) or self.n != other.n:
             return NotImplemented
         cols = tuple(zip(*other.integer_rows))
-        rows = ([sum(map(mul, row, col)) for col in cols] for row in self.integer_rows)
+        rows = (_product(cols, row) for row in self.integer_rows)
         return _matrix(rows, self.denominator * other.denominator)
 
     def is_zero(self) -> bool:
@@ -470,19 +477,27 @@ class _Elimination:
         return None
 
 
-def _modular(b: list[list[int]], p: int) -> Callable:
-    """x -> Bx mod p for the integer matrix B."""
-    bp = [[x % p for x in row] for row in b]
-    return lambda x: [sum(map(mul, row, x)) % p for row in bp]
+def _product(b: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """Bx for an integer matrix B and integer vector x: the one
+    matrix-vector product."""
+    return [sum(map(mul, row, x)) for row in b]
 
 
-def _krylov(step: Callable, x: list[int], lu: _Elimination) -> tuple[list[list[int]], list[int]]:
-    """Enter x, step(x), step(step(x)), ... into ``lu`` until one
-    depends mod p on the vectors entered.  Returns the chain, with that
-    vector last, and its coefficients on the vectors entered."""
+def _bound(b: list[list[int]], k: int) -> int:
+    """2 (1 + R)^k, R = max_i sum_j |b_ij|: twice a bound on every
+    coefficient of a monic integer polynomial of degree k whose roots are
+    eigenvalues of B, since each eigenvalue is at most R in absolute
+    value and the coefficient of x^i is at most C(k, i) R^(k-i)."""
+    return 2 * (1 + max(sum(map(abs, row)) for row in b)) ** k
+
+
+def _krylov(b: list[list[int]], x: list[int], lu: _Elimination) -> tuple[list[list[int]], list[int]]:
+    """Enter x, Bx, B^2 x, ... into ``lu`` until one depends mod p on
+    the vectors entered.  Returns the exact chain, with that vector last,
+    and its coefficients mod p on the vectors entered."""
     chain = [x]
     while (y := lu.enter(x)) is None:
-        x = step(x)
+        x = _product(b, x)
         chain.append(x)
     return chain, y
 
@@ -496,22 +511,21 @@ def _lifted(b: list[list[int]], chain: list[list[int]], y: list[int], lu: _Elimi
     and y the coefficients mod p of B^k w on them.  y is lifted
     p-adically (Dixon): each balanced digit solves the residual mod p
     through the same LU, and the exact integer residual
-    B^k w - sum_i y_i B^i w is divided by p.  A zero residual proves the
-    relation over Z.  The coefficients of a relation of degree k are
-    those of a monic factor of the minimal polynomial of B, whose roots
-    are eigenvalues of B, at most R = max_i sum_j |b_ij| in absolute
-    value; so they are at most (1 + R)^k.  A residual not divisible by
-    p, or one still nonzero once p^m exceeds twice that bound, proves
-    that there is no relation of degree k: p is unlucky.
+    B^k w - sum_i y_i B^i w, taken by ``_product`` on the matrix whose
+    columns are the chain's first k vectors, is divided by p.  A zero
+    residual proves the relation over Z.  A relation of degree k is a
+    monic factor of the minimal polynomial of B, so its coefficients are
+    at most half of ``_bound(b, k)``.  A residual not divisible by p, or
+    one still nonzero once p^m exceeds that bound, proves that there is
+    no relation of degree k: p is unlucky.
     """
-    p = lu.p
+    p, limit = lu.p, _bound(b, len(chain) - 1)
     *vectors, x = chain
     rows = list(zip(*vectors)) if vectors else [()] * len(x)
-    limit = 2 * (1 + max(sum(map(abs, row)) for row in b)) ** len(vectors)
     total, scale = [0] * len(y), 1
     while True:
         digits = [c - p if 2 * c > p else c for c in y]
-        x = [t - sum(map(mul, row, digits)) for t, row in zip(x, rows)]
+        x = [t - s for t, s in zip(x, _product(rows, digits))]
         total = [t + scale * c for t, c in zip(total, digits)]
         scale *= p
         if not any(x):
@@ -524,23 +538,23 @@ def _lifted(b: list[list[int]], chain: list[list[int]], y: list[int], lu: _Elimi
 
 def _horner(p: list[int], b: list[list[int]], v: list[int]) -> list[int]:
     """p(B) v for an integer polynomial p and integer matrix B, by
-    Horner's rule: one matrix-vector product per coefficient."""
+    Horner's rule: one ``_product`` per coefficient."""
     acc = [0] * len(v)
     for c in reversed(p):
-        acc = [sum(map(mul, row, acc)) + c * x for row, x in zip(b, v)]
+        acc = [s + c * x for s, x in zip(_product(b, acc), v)]
     return acc
 
 
-def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[list[int]], list[int]]]:
+def _span(b: list[list[int]], p: int) -> Iterator[tuple[_Elimination, list[list[int]], list[int]]]:
     """The one walk over the start vectors: two dense vectors, then
     e_1, ..., e_n.
 
-    The Krylov chain of each start vector under ``step`` enters one
-    elimination mod p, after the earlier chains.  For each chain that
-    extends the span, yields the elimination, the chain and the
-    quotient coefficients: those mod p of the vector that ends the chain
-    on the chain's own vectors.  Stops once the span is full, which the
-    unit vectors guarantee.
+    The exact Krylov chain of each start vector under the integer matrix
+    B enters one elimination mod p, after the earlier chains.  For each
+    chain that extends the span, yields the elimination, the chain and
+    the quotient coefficients: those mod p of the vector that ends the
+    chain on the chain's own vectors.  Stops once the span is full,
+    which the unit vectors guarantee.
 
     The dense vectors come first because a vector with no structure of
     its own is cyclic for almost every nonderogatory matrix, so that
@@ -556,6 +570,7 @@ def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[l
     narrow enough that the exact chains stay small, since every vector
     of a chain carries the bits of its start vector.
     """
+    n = len(b)
     span = _Elimination(n, p)
     x, dense = 0, []
     for _ in range(2 * n):
@@ -563,59 +578,33 @@ def _span(n: int, p: int, step: Callable) -> Iterator[tuple[_Elimination, list[l
         dense.append((x >> 20) + 1)
     for v in chain((dense[:n], dense[n:]), _units(n)):
         start = len(span.pivots)
-        vectors, y = _krylov(step, v, span)
+        vectors, y = _krylov(b, v, span)
         if len(span.pivots) > start:
             yield span, vectors, y[start:]
             if len(span.pivots) == n:
                 return
 
 
-def char_poly(a: RationalMatrix) -> RationalPolynomial:
-    """Characteristic polynomial det(xI - A), monic of degree n.
-
-    Modulo a prime p, the Krylov chains of the start vectors that
-    ``_span`` enters into one elimination put B = dA in block
-    triangular form with companion blocks: det(xI - B) is the product
-    of the chains' quotient polynomials, x^k minus the
-    coefficients of the vector that ends a chain on the chain's own
-    vectors (Keller-Gehrig).  That holds over F_p for every p, so no
-    prime is unlucky.  The residues combine by the CRT until the
-    product of the primes exceeds 2 prod_i (||row_i|| + 1), which bounds
-    every coefficient of det(xI - B): the coefficient of x^k sums the
-    principal minors of order n - k, and Hadamard's inequality bounds
-    each by the product of its rows' norms.
-    """
-    b, n = a.integer_rows, a.n
-    bound = 2 * prod(isqrt(sum(x * x for x in row)) + 2 for row in b)
-    poly, modulus = [0] * (n + 1), 1
-    for p in _primes():
-        residues = [1]
-        for _, _, y in _span(n, p, _modular(b, p)):
-            residues = [c % p for c in _mul(residues, [-c for c in y] + [1])]
-        inverse = pow(modulus, -1, p)
-        poly = [c + modulus * ((r - c) * inverse % p) for c, r in zip(poly, residues)]
-        modulus *= p
-        if modulus > bound:
-            poly = [c - modulus if 2 * c > modulus else c for c in poly]
-            return _rescaled(poly, a.denominator)
-
-
 def _minimal(b: list[list[int]], p: int) -> list[int] | None:
     """The minimal polynomial of the integer matrix B from the exact
     Krylov chains of ``_span`` and their lifts mod p, or None when p is
     unlucky."""
-    n = len(b)
-    step = lambda x: [sum(map(mul, row, x)) for row in b]
     mu = [1]
-    for lu, vectors, y in _span(n, p, step):
+    for lu, vectors, y in _span(b, p):
         if len(mu) > 1:  # after the first chain: that of mu(B) v
-            lu = _Elimination(n, p)
-            vectors, y = _krylov(step, _horner(mu, b, vectors[0]), lu)
+            lu = _Elimination(len(b), p)
+            vectors, y = _krylov(b, _horner(mu, b, vectors[0]), lu)
         q = _lifted(b, vectors, y, lu)
         if q is None:
             return None
         mu = _mul(mu, q)
     return mu
+
+
+def _mu(b: list[list[int]]) -> list[int]:
+    """The minimal polynomial of the integer matrix B, monic, from the
+    first prime in the order of ``_primes`` that is lucky for it."""
+    return next(filter(None, (_minimal(b, p) for p in _primes())))
 
 
 def min_poly(a: RationalMatrix) -> RationalPolynomial:
@@ -644,8 +633,40 @@ def min_poly(a: RationalMatrix) -> RationalPolynomial:
     A prime for which a lift fails is unlucky, and the search starts
     again with the next prime from ``_primes``.
     """
-    mu = next(filter(None, (_minimal(a.integer_rows, p) for p in _primes())))
-    return _rescaled(mu, a.denominator)
+    return _rescaled(_mu(a.integer_rows), a.denominator)
+
+
+def char_poly(a: RationalMatrix) -> RationalPolynomial:
+    """Characteristic polynomial det(xI - A), monic of degree n.
+
+    chi = mu r for the minimal polynomial mu of B = dA.  mu is monic and
+    divides chi in Z[x], so r is a monic integer polynomial of degree
+    m = n - deg mu, and its roots are eigenvalues of B, each at most R in
+    absolute value; so its lower coefficients are at most half of
+    ``_bound(b, m)``, and the CRT finds them once the product of the
+    primes exceeds that bound.  A nonderogatory matrix has m = 0, r = 1,
+    and needs no prime.  Modulo a prime p, the chains that ``_span``
+    enters into one elimination put B in block triangular form with
+    companion blocks: chi mod p is the product of the chains' quotient
+    polynomials, x^k minus the coefficients of the vector that ends a
+    chain on the chain's own vectors (Keller-Gehrig).  That holds over
+    F_p for every p, so no prime is unlucky, and dividing it by the
+    monic mu with ``_divide`` leaves r mod p.
+    """
+    b = a.integer_rows
+    mu = _mu(b)
+    m = a.n + 1 - len(mu)
+    r, modulus, primes = [0] * m, 1, _primes()
+    while m and modulus <= _bound(b, m):
+        p = next(primes)
+        chi = [1]
+        for _, _, y in _span(b, p):
+            chi = [c % p for c in _mul(chi, [-c for c in y] + [1])]
+        inverse = pow(modulus, -1, p)
+        r = [c + modulus * ((t - c) * inverse % p) for c, t in zip(r, _divide(chi, mu)[1])]
+        modulus *= p
+    r = [c - modulus if 2 * c > modulus else c for c in r]
+    return _rescaled(_mul(mu, r + [1]), a.denominator)
 
 
 def squarefree_root_counts(p: RationalPolynomial) -> tuple[tuple[int, int, int], ...]:

@@ -158,6 +158,9 @@ class TestJordanBlocks:
             ("-2/3", 5, (Fraction(-2, 3), 5)),
             (True, True, (1, 1)),
             (False, Fraction(1, 9), (0, Fraction(1, 9))),
+            (0, "1/2", (0, Fraction(1, 2))),
+            ("3/4", "10/4", (Fraction(3, 4), Fraction(5, 2))),
+            (2, "7", (2, 7)),
         ],
     )
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -189,9 +192,13 @@ class TestJordanBlocks:
         )
 
     def test_real_block_needs_nonzero_imaginary_part(self):
-        for b in (Fraction(0), 0, -1, Fraction(-1, 2)):
+        for b in (Fraction(0), 0, -1, Fraction(-1, 2), "0", "-1", "-1/2"):
             with pytest.raises(ValueError, match="imaginary part must be positive"):
                 real_jordan_block(Fraction(1), b, 1)
+
+    def test_real_block_refuses_a_float_imaginary_part_as_given(self):
+        with pytest.raises(TypeError, match=r"refusing float 1\.5:"):
+            real_jordan_block(0, 1.5, 1)
 
     @pytest.mark.parametrize("size", [True, 2.0, "3", 0])
     def test_rejects_a_size_that_is_not_a_positive_int(self, size):

@@ -40,6 +40,7 @@ from _oracles import (
     random_rational_matrix,
     squarefree_factors,
     squarefree_part,
+    unimodular_conjugate,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -84,6 +85,26 @@ def jordan(value, size: int) -> RationalMatrix:
     return RationalMatrix(
         [[value if j == i else int(j == i + 1) for j in range(size)] for i in range(size)]
     )
+
+
+def derogatory_matrices(n: int):
+    """Seeded derogatory n x n matrices, on which char_poly = mu r finds
+    the n - deg mu lower coefficients of r by the CRT: cI (deg mu = 1),
+    cI + uv^T and, for n even, conjugated C(p) + C(p); and for n <= 8,
+    I_2 + realize_config(c) for each configuration c of dimension n - 2
+    and ``conjugated_two_factor_sums``."""
+    rng = random.Random(n)
+    c = random_fraction(rng)
+    u, v = ([random_fraction(rng) for _ in range(n)] for _ in range(2))
+    yield scalar_matrix(n, c)
+    yield RationalMatrix([[c * (i == j) + u[i] * v[j] for j in range(n)] for i in range(n)])
+    if n % 2 == 0:
+        p = RationalPolynomial([random_fraction(rng) for _ in range(n // 2)] + [1])
+        yield unimodular_conjugate(rng, RationalMatrix.block_diagonal([companion_matrix(p)] * 2))
+    if n <= 8:
+        for config in enumerate_configs(n - 2):
+            yield RationalMatrix.block_diagonal([RationalMatrix.identity(2), realize_config(config)])
+        yield from conjugated_two_factor_sums(rng, n)
 
 
 def moved_to_dense_start_vectors(m: RationalMatrix, k: int) -> RationalMatrix:
@@ -562,7 +583,7 @@ class TestMinPoly:
 
 class TestAgainstFractionOracles:
     """char_poly and min_poly against Faddeev-LeVerrier and flattened
-    matrix powers, both in Fraction arithmetic, for n <= 10."""
+    matrix powers, both in Fraction arithmetic, for n <= 12."""
 
     @staticmethod
     def assert_agrees(a):
@@ -584,6 +605,9 @@ class TestAgainstFractionOracles:
             (exactalg, "_primes"),
             (exactalg, "_rescaled"),
             (exactalg, "_span"),
+            (exactalg, "_product"),
+            (exactalg, "_bound"),
+            (exactalg, "_mu"),
             (RationalMatrix, "__mul__"),
             (RationalPolynomial, "__divmod__"),
             (RationalPolynomial, "__mod__"),
@@ -725,13 +749,29 @@ class TestAgainstFractionOracles:
         ):
             self.assert_agrees(moved_to_dense_start_vectors(m, 2))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    @pytest.mark.parametrize("n", [1, 2, *range(4, 13)])
     @pytest.mark.parametrize("c", [Fraction(0), Fraction(3), Fraction(-7, 4)])
     def test_scalar_matrices(self, n, c):
         a = scalar_matrix(n, c)
         self.assert_agrees(a)
         assert char_poly(a) == power(poly(-c, 1), n)
         assert min_poly(a) == poly(-c, 1)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_derogatory_families(self, n):
+        # the cofactor r of char_poly = mu r comes from the CRT; the
+        # fraction-free Krylov elimination is a third route
+        for a in derogatory_matrices(n):
+            assert min_poly(a).degree < n
+            self.assert_agrees(a)
+            assert char_poly(a) == char_poly_bareiss(a)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_derogatory_families_against_sympy(self, sympy, n):
+        for a in derogatory_matrices(n):
+            m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.entries])
+            coefficients = reversed(m.charpoly().all_coeffs())
+            assert char_poly(a) == RationalPolynomial(Fraction(int(c.p), int(c.q)) for c in coefficients)
 
     @pytest.mark.parametrize("entry", [0, 5, -3, Fraction(2, 9), Fraction(-11, 6)])
     def test_one_by_one(self, entry):
@@ -817,7 +857,8 @@ class TestUnluckyPrimes:
 class TestKrylovWork:
     """The walk over the start vectors enters no chain once the span is
     full: the chains and Horner passes that min_poly and char_poly run,
-    counted through the module bindings."""
+    counted through the module bindings.  char_poly = mu r runs
+    min_poly's walk first, then one walk per CRT prime for r."""
 
     @staticmethod
     def work(monkeypatch, compute, a):
@@ -825,12 +866,21 @@ class TestKrylovWork:
         chains, passes = [], []
         krylov, horner = exactalg._krylov, exactalg._horner
         monkeypatch.setattr(
-            exactalg, "_krylov", lambda step, x, lu: chains.append((lu.p, x)) or krylov(step, x, lu)
+            exactalg, "_krylov", lambda b, x, lu: chains.append((lu.p, x)) or krylov(b, x, lu)
         )
         monkeypatch.setattr(exactalg, "_horner", lambda *args: passes.append(args) or horner(*args))
         compute(a)
         monkeypatch.undo()
         return chains, len(passes)
+
+    @classmethod
+    def crt_chains(cls, monkeypatch, a):
+        # char_poly's chains after min_poly's, which it must begin with,
+        # chain for chain and pass for pass, and add no Horner pass
+        minimal = cls.work(monkeypatch, min_poly, a)
+        chains, passes = cls.work(monkeypatch, char_poly, a)
+        assert (chains[: len(minimal[0])], passes) == minimal
+        return chains[len(minimal[0]):]
 
     @pytest.mark.parametrize(
         "a",
@@ -838,12 +888,10 @@ class TestKrylovWork:
         ids=["companion", "dense"],
     )
     def test_a_cyclic_first_vector_takes_one_chain(self, monkeypatch, a):
+        # a nonderogatory matrix: char_poly adds nothing to min_poly's walk
         first, _ = dense_start_vectors(a.n)
         assert self.work(monkeypatch, min_poly, a) == ([(next(exactalg._primes()), first)], 0)
-        chains, passes = self.work(monkeypatch, char_poly, a)
-        primes = [p for p, _ in chains]
-        assert len(set(primes)) == len(primes)
-        assert all(x == first for _, x in chains) and passes == 0
+        assert self.crt_chains(monkeypatch, a) == []
 
     @pytest.mark.parametrize(
         "a, starts",
@@ -860,27 +908,35 @@ class TestKrylovWork:
     )
     def test_no_start_vector_after_the_span_is_full(self, monkeypatch, a, starts):
         # min_poly: one span chain per start vector that extends the
-        # span, and one Horner pass and chain of mu(B) v after the first
+        # span, and one Horner pass and chain of mu(B) v after the first.
+        # char_poly then: one chain per such start vector and CRT prime,
+        # starting at the start vector itself, and none for the Jordan
+        # block, which is nonderogatory
         chains, passes = self.work(monkeypatch, min_poly, a)
         assert [x for _, x in chains[:1] + chains[1::2]] == starts
         assert len(chains) == 2 * len(starts) - 1 and passes == len(starts) - 1
-        chains, passes = self.work(monkeypatch, char_poly, a)
-        primes = list(dict.fromkeys(p for p, _ in chains))
-        assert chains == [(p, x) for p in primes for x in starts] and passes == 0
+        crt = self.crt_chains(monkeypatch, a)
+        primes = list(dict.fromkeys(p for p, _ in crt))
+        assert crt == [(p, x) for p in primes for x in starts]
+        assert bool(primes) == (min_poly(a).degree < a.n)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_conjugated_realizations_take_one_chain_two_factor_sums_three(self, monkeypatch, n):
         # min_poly: one chain for a nonderogatory matrix; for two
         # invariant factors, the chain of the first dense vector, that of
-        # the second, and one Horner pass and chain of mu(B) v.  char_poly:
-        # one chain per invariant factor and prime
+        # the second, and one Horner pass and chain of mu(B) v.  char_poly
+        # adds nothing to the first, and for the second, both dense
+        # vectors' chains per CRT prime
         rng = random.Random(n)
+        dense = [*dense_start_vectors(n)]
         for family, count in ((conjugated_realizations, 1), (conjugated_two_factor_sums, 2)):
             for a in family(rng, n):
                 chains, passes = self.work(monkeypatch, min_poly, a)
                 assert (len(chains), passes) == (2 * count - 1, count - 1)
-                chains, passes = self.work(monkeypatch, char_poly, a)
-                assert len(chains) == count * len({p for p, _ in chains}) and passes == 0
+                crt = self.crt_chains(monkeypatch, a)
+                primes = list(dict.fromkeys(p for p, _ in crt))
+                assert crt == [(p, x) for p in primes for x in dense]
+                assert bool(primes) == (count == 2)
 
 
 def test_primes_descend_through_every_prime_below_2_to_the_30():
