@@ -16,7 +16,7 @@ only counts the spectrum never compiles the exact matrix algebra:
 defined here.
 """
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"
 
 
 class FrozenValue:

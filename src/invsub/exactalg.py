@@ -10,12 +10,16 @@ coefficients of dp.  The constructors take values from outside; a
 result the library computes, integers over a common denominator,
 reaches the same form by one gcd in ``_integer_form`` and is stored by
 ``_matrix`` or ``_polynomial`` through ``FrozenValue._of``, with no
-``Fraction`` in between.  ``fractions`` (with ``decimal`` and
-``numbers``) loads only where a rational crosses the API: in
-``_integer_form`` for an input that is not an int, and in ``entries``
-and ``coefficients``, which build ``Fraction`` values on demand.  The
-operations run on plain Python ints; a polynomial of dA rescales to the
-one of A coefficient by coefficient, c_k(A) = c_k(dA) / d^(deg - k).
+``Fraction`` in between.  A value from outside is read by ``_ratio``
+straight into two ints: a rational number by its ``numerator`` and
+``denominator``, a string by the grammar of a matrix document (an
+optional sign and ASCII digits, then an optional ``/`` and ASCII
+digits).  ``_format`` writes c/d in lowest terms for the printers of
+both types.  So ``fractions`` (with ``decimal`` and ``numbers``) loads
+only in ``entries`` and ``coefficients``, which build ``Fraction``
+values on demand.  The operations run on plain Python ints; a
+polynomial of dA rescales to the one of A coefficient by coefficient,
+c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
@@ -82,7 +86,7 @@ shares this module's arithmetic.
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from . import FrozenValue
 
@@ -90,21 +94,49 @@ from . import FrozenValue
 def _integer_form(values: Iterable, d: int = 1) -> tuple[int, list[int]]:
     """(e, [e v / d for v in values]) with e > 0 the lcm of the reduced
     denominators of the v / d, for a nonzero int d.  Input from outside
-    comes with d = 1: ``Fraction`` (loaded here) reads every value but a
-    plain int, ``"3/4"`` too, and floats are rejected.  The library's own
-    results come as integers over d and reach lowest terms by one gcd."""
+    comes with d = 1, and every value but a plain int is read by
+    ``_ratio``.  The library's own results come as integers over d and
+    reach lowest terms by one gcd."""
     values = list(values)
     if not set(map(type, values)) <= {int}:
-        from fractions import Fraction
-        for x in values:
-            if isinstance(x, float):
-                raise TypeError(f"refusing float {x!r}: exact rational input required")
-        xs = [Fraction(x) for x in values]
-        e = lcm(*(x.denominator for x in xs))
-        values = [x.numerator * (e // x.denominator) for x in xs]
+        ratios = list(map(_ratio, values))
+        e = lcm(*(q for _, q in ratios))
+        values = [p * (e // q) for p, q in ratios]
         d *= e
     g = gcd(d, *values) if d > 0 else -gcd(d, *values)
     return d // g, values if g == 1 else [v // g for v in values]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) with x = p / q and q >= 0, for one value from outside.
+
+    An int, a bool or a ``Fraction`` is read by its ``numerator`` and
+    ``denominator``, taken as Python ints, so a fixed-width integer
+    such as numpy's cannot wrap around later; a string by the grammar of a matrix document, so
+    ``"-3/4"`` and ``"007"`` are values but ``"1.5"``, ``"1e3"``,
+    ``" 3/4"``, ``"1_0"`` and non-ASCII digits are not (ValueError).
+    ``"1/0"`` gives q = 0, which ``_integer_form`` divides by, so it
+    raises ZeroDivisionError.  Floats are refused rather than converted,
+    and any other type (``Decimal``, complex, None) raises TypeError."""
+    if isinstance(x, str):
+        p, slash, q = x.partition("/")
+        unsigned = p[1:] if p[:1] in ("+", "-") else p
+        if not all(t.isascii() and t.isdigit() for t in (unsigned, q if slash else "1")):
+            raise ValueError(f"invalid rational {x!r} (expected an integer or p/q)")
+        return int(p), int(q) if slash else 1
+    if isinstance(x, float):
+        raise TypeError(f"refusing float {x!r}: exact rational input required")
+    try:
+        return index(x.numerator), index(x.denominator)
+    except AttributeError:
+        raise TypeError(f"not an exact rational: {x!r} ({type(x).__name__})") from None
+
+
+def _format(c: int, d: int) -> str:
+    """c / d in lowest terms for d > 0, written as ``str`` writes the
+    ``Fraction`` c/d."""
+    g = gcd(c, d)
+    return str(c // g) if g == d else f"{c // g}/{d // g}"
 
 
 def _units(n: int) -> Iterator[list[int]]:
@@ -166,27 +198,15 @@ class RationalPolynomial(FrozenValue):
         return f"RationalPolynomial({self})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        coefficients = self.coefficients
-        terms = []
-        for power in range(self.degree, -1, -1):
-            c = coefficients[power]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                var = "x" if power == 1 else f"x^{power}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
+        text = ""
+        for k in range(self.degree, -1, -1):
+            if c := self.integer_coefficients[k]:
+                mag = _format(abs(c), self.denominator)
+                power = "x" if k == 1 else f"x^{k}"
+                term = mag if k == 0 else power if mag == "1" else f"{mag}*{power}"
+                text += f" {'-' if c < 0 else '+'} {term}"
+        # the leading term keeps a minus sign, without the spaces
+        return text[1:2].strip("+") + text[3:] or "0"
 
 
 def _polynomial(p: list[int], d: int) -> RationalPolynomial:
@@ -204,7 +224,7 @@ class RationalMatrix(FrozenValue):
     one base, it compares, hashes, pickles and copies by its fields,
     this canonical form; the constructor takes the rows themselves.
     ``entries`` builds the ``Fraction`` rows on demand.  Entries are
-    read by ``_integer_form``, which rejects floats.
+    read by ``_ratio``, which rejects floats.
     """
 
     denominator: int
@@ -281,10 +301,9 @@ class RationalMatrix(FrozenValue):
         return evaluate_at_matrix(_polynomial([-x for x in q], c), self)
 
     def __repr__(self) -> str:
-        rows = ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.entries
-        )
-        return f"RationalMatrix([{rows}])"
+        d = self.denominator
+        rows = ("[" + ", ".join(_format(x, d) for x in row) + "]" for row in self.integer_rows)
+        return f"RationalMatrix([{', '.join(rows)}])"
 
 
 def _matrix(rows: Iterable[Iterable[int]], d: int) -> RationalMatrix:

@@ -31,6 +31,16 @@ from invsub.combinatorics import partitions_of
 from invsub.exactalg import RationalMatrix, RationalPolynomial
 from invsub.spectrum import BlockConfig, enumerate_configs
 
+# Tokens outside the matrix-document grammar, shared by the tests of the
+# command line and of the library, which both refuse each.  int() accepts
+# the first three (underscores, Arabic-Indic and fullwidth digits), and
+# Fraction() those and "1e3", so a reader checks the grammar before it
+# converts.
+OFF_GRAMMAR_TOKENS = [
+    "1_0", "\u0663", "\uff11", "+-1", "--1", "+", "-", "0x1", "1e3",
+    "1/+2", "1//2", "/2", "2/",
+]
+
 # ---- Fraction coefficient lists and rows -----------------------------------
 
 

@@ -33,7 +33,7 @@ from invsub.spectrum import (
     attainable_counts_bruteforce,
 )
 
-from _oracles import table_rows
+from _oracles import OFF_GRAMMAR_TOKENS, table_rows
 
 ROW = re.compile(r"^  \((?P<parts>[0-9, ]+)\) -> (?P<count>\d+)$")
 
@@ -666,15 +666,6 @@ class TestParserEquivalence:
         # integer tokens go in as JSON ints or strings, p/q tokens as strings
         cells = [[t if "/" in t or rng.random() < 0.5 else int(t) for t in row] for row in token_rows]
         self.assert_same(parse_matrix_document(json.dumps(cells)), self.expected(token_rows))
-
-
-# Tokens outside the matrix grammar.  int() accepts the first three
-# (underscores, Arabic-Indic and fullwidth digits), so the integer-row
-# route has to check the grammar before it converts.
-OFF_GRAMMAR_TOKENS = [
-    "1_0", "\u0663", "\uff11", "+-1", "--1", "+", "-", "0x1", "1e3",
-    "1/+2", "1//2", "/2", "2/",
-]
 
 
 def first_cell_error(token_rows):

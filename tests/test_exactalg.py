@@ -1,5 +1,7 @@
+import json
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, isqrt
@@ -23,6 +25,7 @@ from invsub.cli import parse_matrix_document
 from invsub.spectrum import enumerate_configs
 
 from _oracles import (
+    OFF_GRAMMAR_TOKENS,
     char_poly_bareiss,
     char_poly_cofactor,
     char_poly_faddeev_leverrier,
@@ -136,6 +139,12 @@ class TestRationalPolynomial:
         assert str(poly(0, 1)) == "x"
         assert str(poly(Fraction(1, 2), -1)) == "-x + 1/2"
         assert str(poly(0, 0, Fraction(-2, 3))) == "-2/3*x^2"
+
+    @given(st.integers(), st.integers(min_value=1))
+    @example(0, 5)
+    @example(-12, 8)
+    def test_format_matches_str_of_fraction(self, c, d):
+        assert exactalg._format(c, d) == str(Fraction(c, d))
 
     @given(polynomials, nonzero_polynomials)
     @example(poly(1, "2/3", -5, 0, 4), poly(3, 0, "-2/7"))  # negative leading coefficient
@@ -484,6 +493,62 @@ class TestIntegerCanonicalForm:
         assert m.denominator == 30
         assert m.integer_rows == ((15, 10, 210), (0, -24, 30), (30, 30, 30))
         assert all(type(x) is int for row in m.integer_rows for x in row)
+
+
+class TestOneGrammar:
+    """The library reads a string by the grammar of a matrix document, as
+    ``parse_matrix_document`` does, and refuses what that refuses."""
+
+    READERS = {
+        "matrix": lambda x: RationalMatrix([[x]]),
+        "polynomial": lambda x: RationalPolynomial([x]),
+        "real Jordan block": lambda x: real_jordan_block(0, x, 1),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize(
+        "token", OFF_GRAMMAR_TOKENS + [" 3/4", "3/4 ", "1.5", "1e4000000"]
+    )
+    def test_off_grammar_token_is_refused(self, reader, token):
+        with pytest.raises(ValueError, match="invalid rational"):
+            self.READERS[reader](token)
+
+    def test_an_exponent_is_refused_before_its_integer_is_built(self):
+        # int() or Fraction() of this builds a 13-million-bit integer
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="invalid rational"):
+            RationalMatrix([["1e4000000"]])
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, f"took {elapsed:.3f} s"
+
+    @pytest.mark.parametrize("token", ["+7", "-0", "12/8", "007/010", "-3/4"])
+    def test_token_reads_as_the_document_reads_it(self, token):
+        assert RationalMatrix([[token]]) == parse_matrix_document(f"{token}\n")
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("value", [Decimal("1.5"), 1 + 0j, None], ids=repr)
+    def test_other_types_are_refused_by_name(self, reader, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            self.READERS[reader](value)
+
+    def test_a_fixed_width_integer_is_read_as_a_python_int(self):
+        # an int64 numerator kept as given wraps when scaled by the lcm 2
+        np = pytest.importorskip("numpy")
+        m = RationalMatrix([[np.int64(2**62), "1/2"], [0, 1]])
+        assert m.integer_rows == ((2**63, 1), (0, 2))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
+
+    @given(st.text("0123456789+-/_ .ex\u0661\uff11", min_size=1, max_size=6))
+    @example("1/0")
+    def test_library_accepts_exactly_what_the_document_accepts(self, token):
+        def read(reader, x):
+            try:
+                return reader(x)
+            except (ValueError, ZeroDivisionError):
+                return None
+
+        document = read(parse_matrix_document, json.dumps([[token]]))
+        assert read(self.READERS["matrix"], token) == document
 
 
 @given(st.lists(rationals, max_size=5).map(RationalPolynomial), square_matrices())

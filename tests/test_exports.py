@@ -440,6 +440,31 @@ def test_computed_rationals_of_integer_inputs_never_load_fractions():
     assert q_of_a == expected
 
 
+_PRINT = f"""
+from invsub.exactalg import RationalMatrix, min_poly
+from invsub.analyzer import real_jordan_block
+inverse = RationalMatrix({_A}).inverse()
+print(repr(inverse))
+print(min_poly(inverse))
+print(repr(RationalMatrix([["1/2", "-3/4"], ["5", "7/3"]])))
+print(repr(real_jordan_block(0, "1/2", 2)))
+"""
+
+
+def test_printing_reading_and_jordan_layout_never_load_fractions():
+    # A^-1 = adj(A) / 25, and its minimal polynomial is the reversed
+    # characteristic polynomial x^3 - 9x^2 + 26x - 25 of A over -25
+    status, out, loaded = run_fresh(_PRINT)
+    assert status == 0
+    assert FRACTIONS & loaded == set()
+    assert out.splitlines() == [
+        "RationalMatrix([[12/25, -4/25, 1/25], [1/25, 8/25, -2/25], [-3/25, 1/25, 6/25]])",
+        "x^3 - 26/25*x^2 + 9/25*x - 1/25",
+        "RationalMatrix([[1/2, -3/4], [5, 7/3]])",
+        "RationalMatrix([[0, -1/2, 1, 0], [1/2, 0, 0, 1], [0, 0, 0, -1/2], [0, 0, 1/2, 0]])",
+    ]
+
+
 def test_spectrum_library_never_loads_the_matrix_algebra():
     status, _, loaded = run_fresh(
         "import invsub.spectrum as s; m6 = s.attainable_counts(6); "
