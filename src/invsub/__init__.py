@@ -14,9 +14,26 @@ only counts the spectrum never compiles the exact matrix algebra:
 ``combinatorics`` and ``spectrum`` import none of it (``exactalg`` and
 ``analyzer``).  Every value type derives from :class:`FrozenValue`,
 defined here.
+
+The root also holds what ``exactalg`` and ``cli`` share of the grammar
+of a matrix document, as ``cli`` reads ``n`` and ``--max-n`` without
+loading ``exactalg``: the integer token, a plain string that each of
+them compiles, so the root imports no ``re``, and ``_quoted``, by which
+every message about a refused value quotes it.
 """
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"
+
+# the integer token of the matrix grammar, also the numerator of p/q
+_INTEGER = r"[+-]?[0-9]+"
+# error messages quote at most this many characters of a value
+QUOTE_CHARS = 40
+
+
+def _quoted(token: str, quote=repr) -> str:
+    if len(token) <= QUOTE_CHARS:
+        return quote(token)
+    return f"{quote(token[:QUOTE_CHARS])}... ({len(token)} characters)"
 
 
 class FrozenValue:

@@ -12,14 +12,14 @@ subparser runs it (``set_defaults``) and raises all its usage errors.
 A report's ``input_sha256`` digests the input file's bytes for
 ``analyze`` and the canonical JSON of the parameters otherwise.
 
-``parse_matrix_document`` reads a document row by row, by one of two
-routes that give the same matrix or the same error.  A row of strings
-that one regular expression passes as integer tokens is converted by
-one ``int`` pass: the grammar comes first, since ``int`` also takes
-``1_0`` and non-ASCII digits.  Any other row, JSON ints included, or
-one that ``int`` refuses, is read cell by cell by ``_parse_cell``, the
-one place that words an error.  ``n`` and ``--max-n`` pass the same
-grammar's integer tokens only, in ``_positive_int``.
+``parse_matrix_document`` reads no cell itself.  It keeps the
+structure of a document, its rows of tokens or of JSON cells, and the
+JSON type rule, ints and strings only; ``RationalMatrix`` reads the
+cells, by the one reader of the grammar in ``exactalg``, which words
+every refused value.  On the error path alone the cells are read again,
+in reading order, to name the row and column of the first one refused.
+``n`` and ``--max-n`` pass the same grammar's integer tokens only, in
+``_positive_int``, by the token that the package root holds for both.
 
 Each run of the tool is a fresh process that pays at startup for every
 module imported here, and compiles every one of them from source when
@@ -34,19 +34,20 @@ rather than a name imported from it, so that the commands look it up
 here: a test and the benchmark tracer replace it in this module.  The rest of the
 standard library loads in the function that needs it: ``argparse`` in
 ``build_parser`` and ``_positive_int``, ``json`` in the JSON branch of
-``parse_matrix_document``, the non-rational-entry error of
-``_parse_cell`` and ``_report``, ``hashlib`` (with OpenSSL behind
-it) in ``_report``, and ``fractions`` (with ``decimal`` and
-``numbers``) in the p/q branch of ``_parse_cell``.  A text command on a
-text document loads neither ``json`` nor ``hashlib``, and no command on
-an integer document loads ``fractions``.
+``parse_matrix_document``, its non-rational-entry error and
+``_report``, and ``hashlib`` (with OpenSSL behind it) in ``_report``.
+A text command on a text document loads neither ``json`` nor
+``hashlib``, and ``analyze`` loads no ``fractions``, p/q tokens
+included: the library reads each straight into two ints.
 """
 
 import os
 import re
 import sys
-from itertools import groupby
+from itertools import chain, groupby
 
+# QUOTE_CHARS stays importable from here
+from . import _INTEGER, QUOTE_CHARS, _quoted
 from .spectrum import (
     attainable_counts,
     attainable_counts_bruteforce,
@@ -63,82 +64,20 @@ TABLE_MAX_N = 40
 SELFCHECK_LIMIT = 16
 ROUNDTRIP_LIMIT = 8
 
-# the integer token of the matrix grammar, also the numerator of p/q
-_INTEGER = r"[+-]?[0-9]+"
-_TOKEN = re.compile(rf"({_INTEGER})(?:/([0-9]+))?\Z")
-# a row of integer tokens, joined by single spaces
-_INTEGER_ROW = re.compile(rf"{_INTEGER}(?: {_INTEGER})*\Z")
-# error messages quote at most this many characters of a token
-QUOTE_CHARS = 40
-
 
 class MatrixInputError(ValueError):
     """A matrix document that cannot be turned into a square rational
     matrix; the message names the offending row/column."""
 
 
-def _quoted(token: str, quote=repr) -> str:
-    if len(token) <= QUOTE_CHARS:
-        return quote(token)
-    return f"{quote(token[:QUOTE_CHARS])}... ({len(token)} characters)"
-
-
-def _parse_cell(cell, row: int, col: int) -> "int | Fraction":
-    # a string goes through the token grammar; a JSON int (not true or
-    # false) passes as it is
-    if isinstance(cell, str):
-        match = _TOKEN.match(cell)
-        if not match:
-            raise MatrixInputError(
-                f"row {row}, column {col}: invalid rational token {_quoted(cell)} "
-                "(expected an integer or p/q)"
-            )
-        numerator, denominator = match.groups()
-        try:
-            if denominator is None:
-                return int(numerator)
-            from fractions import Fraction
-
-            return Fraction(int(numerator), int(denominator))
-        except ZeroDivisionError:
-            raise MatrixInputError(
-                f"row {row}, column {col}: zero denominator in {_quoted(cell)}"
-            ) from None
-        except ValueError:
-            # the interpreter's int-string conversion limit
-            raise MatrixInputError(
-                f"row {row}, column {col}: integer with more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
-    if type(cell) is int:
-        return cell
-    import json
-
-    raise MatrixInputError(
-        f"row {row}, column {col}: entry {_quoted(json.dumps(cell))} "
-        "is not an exact rational"
-    )
-
-
-def _parse_row(row: list, i: int) -> list:
-    # only a row of integer tokens converts whole; JSON ints go cell by cell
-    if set(map(type, row)) == {str} and _INTEGER_ROW.match(" ".join(row)):
-        try:
-            return list(map(int, row))
-        except ValueError:
-            # a token past the int-string digit limit, or a JSON string
-            # with a space inside ("1 2"), which the joined row hides
-            pass
-    return [_parse_cell(cell, i, j) for j, cell in enumerate(row, start=1)]
-
-
 def parse_matrix_document(text: str) -> "RationalMatrix":
     """Parse a matrix document: whitespace-separated rows of integer or
     p/q tokens, one row per line, or the JSON alternative (a list of
     rows, entries being ints or token strings).  A text line ends at
-    LF, CRLF or CR only, and blank lines are skipped.  Both forms read
-    every row through one reader, ``_parse_row``, and every cell it
-    does not convert whole through ``_parse_cell``."""
+    LF, CRLF or CR only, and blank lines are skipped.  The rows go to
+    ``RationalMatrix`` as they are, JSON ones once each cell is known to
+    be an int or a string; only when a cell is refused does
+    ``_first_refused`` read the cells again, to name its row and column."""
     if text.lstrip()[:1] in ("[", "{"):
         import json
 
@@ -160,17 +99,40 @@ def parse_matrix_document(text: str) -> "RationalMatrix":
             raise MatrixInputError(
                 'JSON matrix document must be a list of rows or {"rows": [...]}'
             )
+        if not set(map(type, chain.from_iterable(rows))) <= {int, str}:
+            # the library would read true as 1
+            raise _first_refused(rows)
     else:
         lines = text.replace("\r", "\n").split("\n")
         rows = [tokens for tokens in map(str.split, lines) if tokens]
-    cells = [_parse_row(row, i) for i, row in enumerate(rows, start=1)]
     from .exactalg import RationalMatrix
 
     try:
-        return RationalMatrix(cells)
-    except ValueError as exc:
-        # no rows, or a row of the wrong length
-        raise MatrixInputError(str(exc)) from None
+        return RationalMatrix(rows)
+    except (ValueError, ZeroDivisionError) as exc:
+        # a refused cell, or else no rows or a row of the wrong length
+        raise _first_refused(rows) or MatrixInputError(str(exc)) from None
+
+
+def _first_refused(rows: list) -> MatrixInputError | None:
+    """The error for the first cell of ``rows``, in reading order, that
+    is not an int or a string or that the library's reader refuses,
+    with its row and column before the reason; None if there is none."""
+    from .exactalg import _ratio
+
+    for i, row in enumerate(rows, start=1):
+        for j, cell in enumerate(row, start=1):
+            try:
+                if type(cell) in (int, str):
+                    _ratio(cell)
+                    continue
+                import json
+
+                reason = f"entry {_quoted(json.dumps(cell))} is not an exact rational"
+            except (ValueError, ZeroDivisionError) as exc:
+                reason = str(exc)
+            return MatrixInputError(f"row {i}, column {j}: {reason}")
+    return None
 
 
 def _report(command: str, params: dict, result: dict, raw: bytes | None = None) -> str:
@@ -306,8 +268,7 @@ def _positive_int(text: str) -> int:
     # non-ASCII digits and surrounding spaces
     import argparse
 
-    match = _TOKEN.match(text)
-    if not match or match[2] is not None:
+    if not re.fullmatch(_INTEGER, text):
         raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}")
     try:
         value = int(text)

@@ -14,12 +14,16 @@ reaches the same form by one gcd in ``_integer_form`` and is stored by
 straight into two ints: a rational number by its ``numerator`` and
 ``denominator``, a string by the grammar of a matrix document (an
 optional sign and ASCII digits, then an optional ``/`` and ASCII
-digits).  ``_format`` writes c/d in lowest terms for the printers of
-both types.  So ``fractions`` (with ``decimal`` and ``numbers``) loads
-only in ``entries`` and ``coefficients``, which build ``Fraction``
-values on demand.  The operations run on plain Python ints; a
-polynomial of dA rescales to the one of A coefficient by coefficient,
-c_k(A) = c_k(dA) / d^(deg - k).
+digits).  ``_ratio`` is the one reader of that grammar and words each
+refused string once; the CLI hands it every cell of a document and
+adds only the cell's row and column.  Ints and integer strings, the
+cells of an integer document, skip it: ``_integer_form`` converts them
+by one match and one ``int`` pass.  ``_format`` writes c/d in lowest
+terms for the printers of both types.  So ``fractions`` (with
+``decimal`` and ``numbers``) loads only in ``entries`` and
+``coefficients``, which build ``Fraction`` values on demand.  The
+operations run on plain Python ints; a polynomial of dA rescales to
+the one of A coefficient by coefficient, c_k(A) = c_k(dA) / d^(deg - k).
 
 Each operation has one implementation:
 
@@ -83,22 +87,43 @@ integer lists and coefficient lists of their own, so none of them
 shares this module's arithmetic.
 """
 
+import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import index, mul
 
-from . import FrozenValue
+from . import _INTEGER, FrozenValue, _quoted
+
+# a value's string: an integer token, then an optional / and ASCII digits
+_TOKEN = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
+# integer tokens joined by single spaces
+_INTEGER_ROW = re.compile(rf"{_INTEGER}(?: {_INTEGER})*")
 
 
 def _integer_form(values: Iterable, d: int = 1) -> tuple[int, list[int]]:
     """(e, [e v / d for v in values]) with e > 0 the lcm of the reduced
     denominators of the v / d, for a nonzero int d.  Input from outside
-    comes with d = 1, and every value but a plain int is read by
-    ``_ratio``.  The library's own results come as integers over d and
-    reach lowest terms by one gcd."""
+    comes with d = 1.  Values that are all ints and integer strings,
+    the cells of an integer matrix document, convert in one pass: one
+    match of the line they join into, then one ``int`` each.  Every
+    other value but a plain int, and every value that pass refuses, is
+    read by ``_ratio``, which words the error.  The library's own
+    results come as integers over d and reach lowest terms by one gcd."""
     values = list(values)
-    if not set(map(type, values)) <= {int}:
+    types = set(map(type, values))
+    if str in types and types <= {int, str}:
+        # the grammar first, as int() also takes "1_0", " 2" and
+        # non-ASCII digits; and a string holding a space would pass as
+        # two tokens
+        try:
+            line = " ".join(map(str, values) if int in types else values)
+            if _INTEGER_ROW.fullmatch(line) and line.count(" ") == len(values) - 1:
+                values, types = list(map(int, values)), {int}
+        except ValueError:
+            pass  # past the int-string digit limit
+    if not types <= {int}:
         ratios = list(map(_ratio, values))
         e = lcm(*(q for _, q in ratios))
         values = [p * (e // q) for p, q in ratios]
@@ -108,22 +133,34 @@ def _integer_form(values: Iterable, d: int = 1) -> tuple[int, list[int]]:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(p, q) with x = p / q and q >= 0, for one value from outside.
+    """(p, q) with x = p / q, for one value from outside.
 
     An int, a bool or a ``Fraction`` is read by its ``numerator`` and
     ``denominator``, taken as Python ints, so a fixed-width integer
-    such as numpy's cannot wrap around later; a string by the grammar of a matrix document, so
-    ``"-3/4"`` and ``"007"`` are values but ``"1.5"``, ``"1e3"``,
-    ``" 3/4"``, ``"1_0"`` and non-ASCII digits are not (ValueError).
-    ``"1/0"`` gives q = 0, which ``_integer_form`` divides by, so it
-    raises ZeroDivisionError.  Floats are refused rather than converted,
+    such as numpy's cannot wrap around later.  A string is read by the
+    grammar of a matrix document, ``_TOKEN``, so ``"-3/4"`` and
+    ``"007"`` are values but ``"1.5"``, ``"1e3"``, ``" 3/4"``, ``"1_0"``
+    and non-ASCII digits are not.  The one wording of each refused
+    string, which quotes at most ``QUOTE_CHARS`` characters of it:
+    ValueError ``invalid rational token '1e3' (expected an integer or
+    p/q)``, ValueError ``integer with more than 4300 digits`` past the
+    interpreter's int-string limit, and ZeroDivisionError ``zero
+    denominator in '1/0'``.  Floats are refused rather than converted,
     and any other type (``Decimal``, complex, None) raises TypeError."""
     if isinstance(x, str):
-        p, slash, q = x.partition("/")
-        unsigned = p[1:] if p[:1] in ("+", "-") else p
-        if not all(t.isascii() and t.isdigit() for t in (unsigned, q if slash else "1")):
-            raise ValueError(f"invalid rational {x!r} (expected an integer or p/q)")
-        return int(p), int(q) if slash else 1
+        match = _TOKEN.fullmatch(x)
+        if not match:
+            raise ValueError(f"invalid rational token {_quoted(x)} (expected an integer or p/q)")
+        p, q = match.groups()
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:
+            raise ValueError(
+                f"integer with more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+        if not q:
+            raise ZeroDivisionError(f"zero denominator in {_quoted(x)}")
+        return p, q
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: exact rational input required")
     try:

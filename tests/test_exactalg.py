@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invsub import exactalg
+from invsub import QUOTE_CHARS, exactalg
 from invsub.exactalg import (
     RationalMatrix,
     RationalPolynomial,
@@ -505,13 +506,54 @@ class TestOneGrammar:
         "real Jordan block": lambda x: real_jordan_block(0, x, 1),
     }
 
+    LIMIT = sys.get_int_max_str_digits()  # 4300 unless configured otherwise
+    # each refused string's one wording, which quotes at most QUOTE_CHARS
+    # characters of it
+    WORDINGS = {
+        "long": (
+            "x" * 10**6,
+            ValueError,
+            f"invalid rational token {'x' * QUOTE_CHARS!r}... (1000000 characters) "
+            "(expected an integer or p/q)",
+        ),
+        "zero denominator": ("1/0", ZeroDivisionError, "zero denominator in '1/0'"),
+        "digit limit": ("7" * (LIMIT + 1), ValueError, f"integer with more than {LIMIT} digits"),
+    }
+
     @pytest.mark.parametrize("reader", READERS)
     @pytest.mark.parametrize(
-        "token", OFF_GRAMMAR_TOKENS + [" 3/4", "3/4 ", "1.5", "1e4000000"]
+        "token", OFF_GRAMMAR_TOKENS + [" 3/4", "3/4 ", "1.5", "1e4000000", "1 2"]
     )
     def test_off_grammar_token_is_refused(self, reader, token):
         with pytest.raises(ValueError, match="invalid rational"):
             self.READERS[reader](token)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case", WORDINGS)
+    def test_refused_token_is_worded_briefly(self, reader, case):
+        if case == "digit limit" and not self.LIMIT:
+            pytest.skip("the interpreter has no int-string digit limit")
+        token, error, message = self.WORDINGS[case]
+        with pytest.raises(error) as info:
+            self.READERS[reader](token)
+        assert str(info.value) == message
+        assert len(message) < 200
+
+    @pytest.mark.parametrize(
+        "rows", [[["3", "-1"], ["+0", "002"]], [[3, "-1"], ["-0", 2]]], ids=["strings", "mixed"]
+    )
+    def test_integer_strings_convert_in_one_pass(self, monkeypatch, rows):
+        # integer strings, alone or among ints, never reach the reader of
+        # one value; the document's own reader finds the same matrix
+        def refuse(x):
+            raise AssertionError(f"{x!r} was read alone")
+
+        monkeypatch.setattr(exactalg, "_ratio", refuse)
+        m = RationalMatrix(rows)
+        assert (m.denominator, m.integer_rows) == (1, ((3, -1), (0, 2)))
+        assert all(type(x) is int for row in m.integer_rows for x in row)
+        assert m == RationalMatrix([[3, -1], [0, 2]])
+        assert parse_matrix_document(json.dumps(rows)) == m
 
     def test_an_exponent_is_refused_before_its_integer_is_built(self):
         # int() or Fraction() of this builds a 13-million-bit integer

@@ -93,7 +93,7 @@ LAYERS = {
     "spectrum": {"__init__", "combinatorics"},
     "exactalg": {"__init__"},
     "analyzer": {"__init__", "combinatorics", "spectrum", "exactalg"},
-    "cli": {"spectrum"},
+    "cli": {"__init__", "spectrum"},
 }
 # module -> the package modules it imports inside a function: only cli
 # defers the matrix algebra, to the commands that run it
@@ -476,13 +476,14 @@ def test_spectrum_library_never_loads_the_matrix_algebra():
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
-def test_rational_document_loads_fractions_where_it_is_read(output_format):
-    # nothing loads fractions before main: the p/q branch of the parser
-    # and exactalg must import it themselves
-    status, out, loaded = run_main_fresh("analyze", "rational.txt", "--format", output_format)
-    golden = (GOLDEN / "expected" / f"analyze-rational.{output_format}").read_text(encoding="utf-8")
-    assert (status, out) == (0, golden)
-    assert FRACTIONS <= loaded
+@pytest.mark.parametrize("document", ["rational.txt", "pairs.json"])
+def test_rational_documents_never_load_fractions(document, output_format):
+    # the library reads a p/q token straight into two ints, and the CLI
+    # reads no cell itself, in text documents and in JSON ones
+    status, out, loaded = run_main_fresh("analyze", document, "--format", output_format)
+    expected = f"analyze-{Path(document).stem}.{output_format}"
+    assert (status, out) == (0, (GOLDEN / "expected" / expected).read_text(encoding="utf-8"))
+    assert FRACTIONS & loaded == set()
 
 
 def test_import_loads_no_submodule_and_no_standard_module():
