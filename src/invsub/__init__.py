@@ -18,9 +18,12 @@ defined here.
 The root also holds what ``exactalg`` and ``cli`` share of the grammar
 of a matrix document, as ``cli`` reads ``n`` and ``--max-n`` without
 loading ``exactalg``: the integer token, a plain string that each of
-them compiles, so the root imports no ``re``, and ``_quoted``, by which
-every message about a refused value quotes it.
+them compiles, so the root imports no ``re``; ``_quoted``, by which
+every message about a refused value quotes it; and ``_too_many_digits``,
+the one wording of an integer past the interpreter's int-string limit.
 """
+
+import sys
 
 __version__ = "0.6.3"
 
@@ -34,6 +37,11 @@ def _quoted(token: str, quote=repr) -> str:
     if len(token) <= QUOTE_CHARS:
         return quote(token)
     return f"{quote(token[:QUOTE_CHARS])}... ({len(token)} characters)"
+
+
+def _too_many_digits() -> str:
+    # int() of a longer string raises ValueError
+    return f"integer with more than {sys.get_int_max_str_digits()} digits"
 
 
 class FrozenValue:

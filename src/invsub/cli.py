@@ -35,10 +35,13 @@ here: a test and the benchmark tracer replace it in this module.  The rest of th
 standard library loads in the function that needs it: ``argparse`` in
 ``build_parser`` and ``_positive_int``, ``json`` in the JSON branch of
 ``parse_matrix_document``, its non-rational-entry error and
-``_report``, and ``hashlib`` (with OpenSSL behind it) in ``_report``.
-A text command on a text document loads neither ``json`` nor
-``hashlib``, and ``analyze`` loads no ``fractions``, p/q tokens
-included: the library reads each straight into two ints.
+``_report``, and the interpreter's own SHA-256 module in ``_report``:
+_sha2 from CPython 3.12, _sha256 before it.  ``hashlib``, which
+loads OpenSSL (3.3 MB resident) to hash a report's few hundred bytes,
+loads only in a build without those modules.  A text command on a text
+document loads neither ``json`` nor a hash module, and ``analyze``
+loads no ``fractions``, p/q tokens included: the library reads each
+straight into two ints.
 """
 
 import os
@@ -47,7 +50,7 @@ import sys
 from itertools import chain, groupby
 
 # QUOTE_CHARS stays importable from here
-from . import _INTEGER, QUOTE_CHARS, _quoted
+from . import _INTEGER, QUOTE_CHARS, _quoted, _too_many_digits
 from .spectrum import (
     attainable_counts,
     attainable_counts_bruteforce,
@@ -89,10 +92,7 @@ def parse_matrix_document(text: str) -> "RationalMatrix":
             raise MatrixInputError("JSON matrix document nests too deeply") from None
         except ValueError:
             # the interpreter's int-string conversion limit
-            raise MatrixInputError(
-                "JSON matrix document has an integer with more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise MatrixInputError(f"JSON matrix document has an {_too_many_digits()}") from None
         if isinstance(rows, dict):
             rows = rows.get("rows")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -137,15 +137,25 @@ def _first_refused(rows: list) -> MatrixInputError | None:
 
 def _report(command: str, params: dict, result: dict, raw: bytes | None = None) -> str:
     # ``raw``, the bytes of the input file, is given by analyze only
-    import hashlib
     import json
+
+    # by the name of this version's module, as a failed import searches
+    # sys.path again at every call: 0.2 ms, a tenth of an analyze request
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        # a build configured without the built-in hashes
+        from hashlib import sha256
 
     if raw is None:
         raw = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
     document = {
         "command": command,
         "input": params,
-        "input_sha256": hashlib.sha256(raw).hexdigest(),
+        "input_sha256": sha256(raw).hexdigest(),
         "result": result,
     }
     return json.dumps(document, indent=2)
@@ -274,9 +284,7 @@ def _positive_int(text: str) -> int:
         value = int(text)
     except ValueError:
         # the interpreter's int-string conversion limit
-        raise argparse.ArgumentTypeError(
-            f"integer with more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise argparse.ArgumentTypeError(_too_many_digits()) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {_quoted(text, str)}")
     return value

@@ -88,13 +88,12 @@ shares this module's arithmetic.
 """
 
 import re
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import index, mul
 
-from . import _INTEGER, FrozenValue, _quoted
+from . import _INTEGER, FrozenValue, _quoted, _too_many_digits
 
 # a value's string: an integer token, then an optional / and ASCII digits
 _TOKEN = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
@@ -155,9 +154,7 @@ def _ratio(x) -> tuple[int, int]:
         try:
             p, q = int(p), int(q or 1)
         except ValueError:
-            raise ValueError(
-                f"integer with more than {sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise ValueError(_too_many_digits()) from None
         if not q:
             raise ZeroDivisionError(f"zero denominator in {_quoted(x)}")
         return p, q

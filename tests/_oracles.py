@@ -21,6 +21,7 @@ A coefficient list is indexed by degree and has no trailing zeros; the
 zero polynomial is the empty list.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian_product
@@ -40,6 +41,22 @@ OFF_GRAMMAR_TOKENS = [
     "1_0", "\u0663", "\uff11", "+-1", "--1", "+", "-", "0x1", "1e3",
     "1/+2", "1//2", "/2", "2/",
 ]
+
+# the matrix-document grammar by an ASCII pattern of its own
+_GRAMMAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+
+
+def read_token(token: str) -> tuple[int, int] | str:
+    """(p, q) with the token = p / q, by ``_GRAMMAR`` and int() alone, or
+    the reason a reader of the grammar refuses it, worded from the
+    library's message templates.  The token is quoted whole, so it must
+    be too short to be cut, and too short for the int-string limit."""
+    match = _GRAMMAR.fullmatch(token)
+    if not match:
+        return f"invalid rational token {token!r} (expected an integer or p/q)"
+    p, q = int(match[1]), int(match[2] or 1)
+    return (p, q) if q else f"zero denominator in {token!r}"
+
 
 # ---- Fraction coefficient lists and rows -----------------------------------
 

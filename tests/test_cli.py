@@ -33,7 +33,7 @@ from invsub.spectrum import (
     attainable_counts_bruteforce,
 )
 
-from _oracles import OFF_GRAMMAR_TOKENS, table_rows
+from _oracles import OFF_GRAMMAR_TOKENS, read_token, table_rows
 
 ROW = re.compile(r"^  \((?P<parts>[0-9, ]+)\) -> (?P<count>\d+)$")
 
@@ -502,10 +502,11 @@ def test_closed_pipe_ends_silently():
     assert status == 1
 
 
-# invsub.cli loads argparse, json and hashlib inside the functions that
-# use them, and this module has all three loaded already; so these run
-# the tool in a fresh interpreter, where a missing local import fails.
-# -S keeps site hooks from loading any of them first.
+# invsub.cli loads argparse, json and a SHA-256 module inside the
+# functions that use them, and this module has argparse, json and hashlib
+# loaded already; so these run the tool in a fresh interpreter, where a
+# missing local import fails.  -S keeps site hooks from loading any of
+# them first.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -522,11 +523,37 @@ def run_fresh(*argv, cwd=GOLDEN / "inputs"):
     )
 
 
-def test_fresh_process_report_digests_the_input_file():
-    done = run_fresh("analyze", "integer.txt", "--format", "json")
+DIGESTED = {
+    "integer": (GOLDEN / "inputs" / "integer.txt").read_bytes(),
+    "byte order mark": codecs.BOM_UTF8 + b"2 0\n0 3\n",
+    # blank lines past the last row, 100 KB in all
+    "100 KB": b"2 0\n0 3\n".ljust(100 * 1024, b"\n"),
+}
+
+
+@pytest.mark.parametrize("name", DIGESTED)
+def test_fresh_process_report_digests_the_input_file(tmp_path, name):
+    raw = DIGESTED[name]
+    (tmp_path / "matrix.txt").write_bytes(raw)
+    done = run_fresh("analyze", "matrix.txt", "--format", "json", cwd=tmp_path)
     assert (done.returncode, done.stderr) == (0, "")
-    raw = (GOLDEN / "inputs" / "integer.txt").read_bytes()
     assert json.loads(done.stdout)["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_fresh_process_report_digests_empty_input():
+    # analyze refuses an empty document before any report, so the report
+    # is made directly, over no bytes
+    code = "from invsub.cli import _report; print(_report('analyze', {}, {}, b''))"
+    src = Path(invsub.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["input_sha256"] == hashlib.sha256(b"").hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -619,6 +646,16 @@ class TestParseMatrixDocument:
         with pytest.raises(ValueError):
             parse_matrix_document("[[true, 0], [0, 1]]")
 
+    def test_json_integer_past_the_int_string_limit(self):
+        # a bare JSON number fails in json.loads, before any cell is read
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_document(f"[[{'7' * (limit + 1)}]]")
+        message = f"JSON matrix document has an integer with more than {limit} digits"
+        assert str(info.value) == message
+
     def test_json_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_matrix_document("[[1, 0], [0, 1]")
@@ -669,21 +706,15 @@ class TestParserEquivalence:
 
 
 def first_cell_error(token_rows):
-    """The message for the first cell, in reading order, that an ASCII
-    pattern of the grammar refuses, worded from the message templates,
-    or None.  The tokens here are too short to be cut when quoted."""
-    grammar = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?", re.ASCII)
+    """The message for the first cell, in reading order, that the
+    grammar's oracle ``read_token`` refuses, or None.  The tokens here
+    are too short to be cut when quoted."""
     for i, row in enumerate(token_rows, start=1):
         for j, token in enumerate(row, start=1):
             assert len(token) <= QUOTE_CHARS
-            match = grammar.fullmatch(token)
-            if not match:
-                reason = f"invalid rational token {token!r} (expected an integer or p/q)"
-            elif match[1] is not None and int(match[1]) == 0:
-                reason = f"zero denominator in {token!r}"
-            else:
-                continue
-            return f"row {i}, column {j}: {reason}"
+            reason = read_token(token)
+            if isinstance(reason, str):
+                return f"row {i}, column {j}: {reason}"
     return None
 
 

@@ -42,6 +42,7 @@ from _oracles import (
     random_fraction,
     random_invertible_matrix,
     random_rational_matrix,
+    read_token,
     squarefree_factors,
     squarefree_part,
     unimodular_conjugate,
@@ -497,8 +498,9 @@ class TestIntegerCanonicalForm:
 
 
 class TestOneGrammar:
-    """The library reads a string by the grammar of a matrix document, as
-    ``parse_matrix_document`` does, and refuses what that refuses."""
+    """The library reads a string by the grammar of a matrix document,
+    which ``_oracles.read_token`` reads by a pattern of its own, and
+    refuses what that refuses, in the same words."""
 
     READERS = {
         "matrix": lambda x: RationalMatrix([[x]]),
@@ -565,7 +567,8 @@ class TestOneGrammar:
 
     @pytest.mark.parametrize("token", ["+7", "-0", "12/8", "007/010", "-3/4"])
     def test_token_reads_as_the_document_reads_it(self, token):
-        assert RationalMatrix([[token]]) == parse_matrix_document(f"{token}\n")
+        p, q = read_token(token)
+        assert RationalMatrix([[token]]).entries == ((Fraction(p, q),),)
 
     @pytest.mark.parametrize("reader", READERS)
     @pytest.mark.parametrize("value", [Decimal("1.5"), 1 + 0j, None], ids=repr)
@@ -582,15 +585,16 @@ class TestOneGrammar:
 
     @given(st.text("0123456789+-/_ .ex\u0661\uff11", min_size=1, max_size=6))
     @example("1/0")
+    @example("1_0")
+    @example("-12/8")
     def test_library_accepts_exactly_what_the_document_accepts(self, token):
-        def read(reader, x):
-            try:
-                return reader(x)
-            except (ValueError, ZeroDivisionError):
-                return None
-
-        document = read(parse_matrix_document, json.dumps([[token]]))
-        assert read(self.READERS["matrix"], token) == document
+        # the value read, or the message of the refusal
+        reading = read_token(token)
+        try:
+            ((value,),) = RationalMatrix([[token]]).entries
+        except (ValueError, ZeroDivisionError) as exc:
+            value = str(exc)
+        assert value == (reading if isinstance(reading, str) else Fraction(*reading))
 
 
 @given(st.lists(rationals, max_size=5).map(RationalPolynomial), square_matrices())
