@@ -21,11 +21,16 @@ loading ``exactalg``: the integer token, a plain string that each of
 them compiles, so the root imports no ``re``; ``_quoted``, by which
 every message about a refused value quotes it; and ``_too_many_digits``,
 the one wording of an integer past the interpreter's int-string limit.
+And it holds ``_check_dimension``, the one check of a size, which
+``combinatorics`` and ``spectrum`` apply to n and ``exactalg`` to the
+size of a Jordan block.  So ``exactalg`` imports only the root, and
+reading :func:`standard_jordan_block` or :func:`real_jordan_block`,
+which it lays out, loads ``exactalg`` alone.
 """
 
 import sys
 
-__version__ = "0.6.3"
+__version__ = "0.6.4"
 
 # the integer token of the matrix grammar, also the numerator of p/q
 _INTEGER = r"[+-]?[0-9]+"
@@ -42,6 +47,14 @@ def _quoted(token: str, quote=repr) -> str:
 def _too_many_digits() -> str:
     # int() of a longer string raises ValueError
     return f"integer with more than {sys.get_int_max_str_digits()} digits"
+
+
+def _check_dimension(n: int, least: int) -> None:
+    """Reject a size that is not an int (``bool`` is not) or is below
+    ``least``: 0 for partitions, 1 for dimensions and block sizes."""
+    if type(n) is not int or n < least:
+        sign = "positive" if least else "nonnegative"
+        raise ValueError(f"dimension must be a {sign} int: {n!r}")
 
 
 class FrozenValue:
@@ -109,9 +122,9 @@ _OWNERS = {
     "min_poly": "exactalg",
     "partition_count": "combinatorics",
     "partitions_of": "combinatorics",
-    "real_jordan_block": "analyzer",
+    "real_jordan_block": "exactalg",
     "realize_config": "analyzer",
-    "standard_jordan_block": "analyzer",
+    "standard_jordan_block": "exactalg",
 }
 
 __all__ = [*_OWNERS, "__version__"]

@@ -13,22 +13,22 @@ then that of the gcd, and so on.  A squarefree polynomial needs one.
 The count by dimension, :func:`dimension_profile`, is a product of
 polynomials, so it lives here beside :class:`SubspaceCount`.
 
-:func:`realize_config` goes the other way, from a signature to Jordan
-blocks, and ``_jordan_matrix`` lays out both kinds from one integer
-cell over one denominator.
+:func:`realize_config` goes the other way, from a signature to one
+Jordan block per root.  ``exactalg`` lays out both kinds of block, by
+:func:`standard_jordan_block` and :func:`real_jordan_block`, so this
+module takes from it only public names and its integer polynomial
+product, and nothing from ``combinatorics``.
 """
 
 from . import FrozenValue
-from .combinatorics import _check_dimension
 from .exactalg import (
     RationalMatrix,
     RationalPolynomial,
-    _integer_form,
-    _matrix,
     _mul,
-    _units,
     min_poly,
+    real_jordan_block,
     squarefree_root_counts,
+    standard_jordan_block,
 )
 from .spectrum import BlockConfig, count_for_config
 
@@ -112,42 +112,6 @@ def count_invariant_subspaces(a: RationalMatrix) -> SubspaceCount:
     if minimal.degree != a.n:
         return SubspaceCount()
     return SubspaceCount(_signature(minimal))
-
-
-def _jordan_matrix(d: int, cell: list[list[int]], size: int) -> RationalMatrix:
-    """The block matrix over the positive int d with the square integer
-    ``cell`` in each of ``size`` diagonal blocks and identity cells on
-    the block superdiagonal, which are scaled by d to share it."""
-    m = len(cell)
-    n = m * size
-    # a row is cut at column n, which drops the last block's identity cell
-    rows = (
-        ([0] * k + row + [d * u for u in unit] + [0] * n)[:n]
-        for k in range(0, n, m)
-        for row, unit in zip(cell, _units(m))
-    )
-    return _matrix(rows, d)
-
-
-def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
-    """size x size Jordan block: ``eigenvalue`` on the diagonal, 1 on the
-    superdiagonal."""
-    _check_dimension(size, 1)
-    d, cell = _integer_form([eigenvalue])
-    return _jordan_matrix(d, [cell], size)
-
-
-def real_jordan_block(a, b, size: int) -> RationalMatrix:
-    """2*size x 2*size real Jordan block for the conjugate pair a +- bi:
-    the cell [[a, -b], [b, a]] on the diagonal, 2x2 identity cells above.
-    ``a`` and ``b`` are read together by the rules of a matrix entry, so
-    they share one denominator, before the sign of ``b`` is checked:
-    ``"1/2"`` is a value, and a float is refused as given."""
-    _check_dimension(size, 1)
-    d, (a, b) = _integer_form([a, b])
-    if b <= 0:
-        raise ValueError("imaginary part must be positive")
-    return _jordan_matrix(d, [[a, -b], [b, a]], size)
 
 
 def realize_config(config: BlockConfig) -> RationalMatrix:

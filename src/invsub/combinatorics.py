@@ -7,12 +7,17 @@ lightweight on purpose.  The zero partition is canonically the empty
 tuple, and derived compositions never contain zero parts (a size-0
 block does not exist; presentation layers may re-insert a 0 for
 display).
+
+:func:`partition_count` counts by the recurrence over the largest
+allowed part, and the tests check it against Euler's pentagonal-number
+recurrence.  Sizes are refused by the package root's one size check,
+which ``spectrum`` and ``exactalg`` apply too.
 """
 
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
-from . import FrozenValue
+from . import FrozenValue, _check_dimension
 
 
 def is_partition(parts: Sequence[int]) -> bool:
@@ -29,14 +34,6 @@ def is_composition(parts: Sequence[int]) -> bool:
     if not all(type(p) is int and p >= 0 for p in parts):
         return False
     return sum(1 for p in parts if p == 0) <= 1
-
-
-def _check_dimension(n: int, least: int) -> None:
-    """Reject a size that is not an int (``bool`` is not) or is below
-    ``least``: 0 for partitions, 1 for dimensions and block sizes."""
-    if type(n) is not int or n < least:
-        sign = "positive" if least else "nonnegative"
-        raise ValueError(f"dimension must be a {sign} int: {n!r}")
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -63,29 +60,17 @@ def _partitions_capped(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 def partition_count(n: int) -> int:
     """Return p(n), the number of partitions of ``n``.
 
-    Computed by Euler's pentagonal-number recurrence
-
-        p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
-
-    which shares no code with :func:`partitions_of` and therefore serves
-    as an independent counting oracle for it.
+    Counted by the recurrence over the largest allowed part: once the
+    parts 1..k are allowed, ``table[m]`` is the number of partitions of
+    m into parts at most k, and allowing k adds those of m - k.  This
+    shares no code with :func:`partitions_of` and therefore serves as an
+    independent counting oracle for it.
     """
     _check_dimension(n, 0)
     table = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * table[m - g]
-            g = k * (3 * k + 1) // 2
-            if g <= m:
-                total += sign * table[m - g]
-            k += 1
-        table[m] = total
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            table[m] += table[m - part]
     return table[n]
 
 

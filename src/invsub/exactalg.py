@@ -65,10 +65,14 @@ Each operation has one implementation:
 * ``_horner`` is the one Horner loop: ``min_poly`` applies it to a
   vector and ``evaluate_at_matrix`` to each unit vector.  ``_units``
   makes every identity row: these, the last start vectors of ``_span``,
-  ``identity`` and the identity cells of the analyzer's Jordan blocks.
+  ``identity`` and the identity cells of the Jordan blocks.
   ``RationalMatrix.inverse`` has no elimination of its own: writing
   the minimal polynomial mu(x) = x q(x) + c, mu(A) = 0 gives
   A^-1 = -q(A) / c.
+* ``_jordan_matrix`` is the one layout of a Jordan block, from one
+  integer cell over one denominator: ``standard_jordan_block`` reads
+  the eigenvalue and ``real_jordan_block`` the pair a, b by
+  ``_integer_form``, as the entries of a matrix are read.
 * One core, ``squarefree_root_counts``, walks the gcd tower g_0 = f,
   g_(i+1) = gcd(g_i, g_i'): the signed pseudo-remainder sequence of g_i
   and g_i' is a Sturm chain of g_i that counts its distinct real roots
@@ -93,7 +97,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import index, mul
 
-from . import _INTEGER, FrozenValue, _quoted, _too_many_digits
+from . import _INTEGER, FrozenValue, _check_dimension, _quoted, _too_many_digits
 
 # a value's string: an integer token, then an optional / and ASCII digits
 _TOKEN = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
@@ -173,6 +177,18 @@ def _format(c: int, d: int) -> str:
     return str(c // g) if g == d else f"{c // g}/{d // g}"
 
 
+def _ordered(values: Iterable, what: str) -> Iterable:
+    """``values``, refused with TypeError when it is a string, bytes or a
+    set: a string would be read one character per value, and a set has
+    no order.  Lists, tuples, ranges and generators pass."""
+    if isinstance(values, (str, bytes, set, frozenset)):
+        raise TypeError(
+            f"{what} must be a list, tuple or other ordered iterable, "
+            f"not {type(values).__name__}"
+        )
+    return values
+
+
 def _units(n: int) -> Iterator[list[int]]:
     """The rows e_1, ..., e_n of the n x n identity matrix, as new lists."""
     return ([int(i == j) for j in range(n)] for i in range(n))
@@ -186,7 +202,8 @@ class RationalPolynomial(FrozenValue):
     degree without trailing zeros (none for the zero polynomial, of
     degree -1).  Like the package's other frozen value types on one
     base, it compares, hashes, pickles and copies by its fields, this
-    canonical form; the constructor takes the coefficients themselves.
+    canonical form; the constructor takes the coefficients themselves,
+    lowest degree first, and refuses a string or a set of them.
     ``coefficients`` builds ``Fraction`` values on demand.
     """
 
@@ -195,7 +212,7 @@ class RationalPolynomial(FrozenValue):
     __match_args__ = ("denominator", "integer_coefficients")
 
     def __init__(self, coefficients: Iterable) -> None:
-        d, ints = _integer_form(coefficients)
+        d, ints = _integer_form(_ordered(coefficients, "polynomial coefficients"))
         self._store(d, tuple(_strip(ints)))
 
     @property
@@ -256,9 +273,10 @@ class RationalMatrix(FrozenValue):
     denominators of its entries, and ``integer_rows``, the rows of the
     integer matrix dA.  Like the package's other frozen value types on
     one base, it compares, hashes, pickles and copies by its fields,
-    this canonical form; the constructor takes the rows themselves.
-    ``entries`` builds the ``Fraction`` rows on demand.  Entries are
-    read by ``_ratio``, which rejects floats.
+    this canonical form; the constructor takes the rows themselves and
+    refuses a string or a set, as the rows or as one row.  ``entries``
+    builds the ``Fraction`` rows on demand.  Entries are read by
+    ``_ratio``, which rejects floats.
     """
 
     denominator: int
@@ -266,7 +284,7 @@ class RationalMatrix(FrozenValue):
     __match_args__ = ("denominator", "integer_rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        rows = [list(row) for row in rows]
+        rows = [list(_ordered(row, "a matrix row")) for row in _ordered(rows, "matrix rows")]
         d, ints = _integer_form(chain.from_iterable(rows))
         if not rows:
             raise ValueError("matrix document contains no rows")
@@ -345,6 +363,42 @@ def _matrix(rows: Iterable[Iterable[int]], d: int) -> RationalMatrix:
     rows = list(rows)
     d, ints = _integer_form(chain.from_iterable(rows), d)
     return RationalMatrix._of(d, tuple(zip(*[iter(ints)] * len(rows))))
+
+
+def _jordan_matrix(d: int, cell: list[list[int]], size: int) -> RationalMatrix:
+    """The block matrix over the positive int d with the square integer
+    ``cell`` in each of ``size`` diagonal blocks and identity cells on
+    the block superdiagonal, which are scaled by d to share it."""
+    m = len(cell)
+    n = m * size
+    # a row is cut at column n, which drops the last block's identity cell
+    rows = (
+        ([0] * k + row + [d * u for u in unit] + [0] * n)[:n]
+        for k in range(0, n, m)
+        for row, unit in zip(cell, _units(m))
+    )
+    return _matrix(rows, d)
+
+
+def standard_jordan_block(eigenvalue, size: int) -> RationalMatrix:
+    """size x size Jordan block: ``eigenvalue`` on the diagonal, 1 on the
+    superdiagonal."""
+    _check_dimension(size, 1)
+    d, cell = _integer_form([eigenvalue])
+    return _jordan_matrix(d, [cell], size)
+
+
+def real_jordan_block(a, b, size: int) -> RationalMatrix:
+    """2*size x 2*size real Jordan block for the conjugate pair a +- bi:
+    the cell [[a, -b], [b, a]] on the diagonal, 2x2 identity cells above.
+    ``a`` and ``b`` are read together by the rules of a matrix entry, so
+    they share one denominator, before the sign of ``b`` is checked:
+    ``"1/2"`` is a value, and a float is refused as given."""
+    _check_dimension(size, 1)
+    d, (a, b) = _integer_form([a, b])
+    if b <= 0:
+        raise ValueError("imaginary part must be positive")
+    return _jordan_matrix(d, [[a, -b], [b, a]], size)
 
 
 def evaluate_at_matrix(p: RationalPolynomial, a: RationalMatrix) -> RationalMatrix:

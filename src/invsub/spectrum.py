@@ -27,8 +27,8 @@ from collections.abc import Iterator
 from math import prod
 from operator import lt
 
-from . import FrozenValue
-from .combinatorics import _check_dimension, partitions_of
+from . import FrozenValue, _check_dimension
+from .combinatorics import partitions_of
 
 
 class BlockConfig(FrozenValue):

@@ -4,12 +4,13 @@ Each oracle recomputes a quantity by a different route than the library
 (cofactor expansion and the Faddeev-LeVerrier recurrence instead of
 Krylov chains modulo a prime, flattened matrix powers instead of vector
 Krylov chains, a fraction-free elimination over Z instead of an LU mod
-p with p-adic lifting, direct enumeration instead of polynomial convolution, a
-DP table instead of the pentagonal recurrence, a recurrence over every
-dimension instead of over half-dimensions, nested partition loops
-instead of grouping the configuration stream, Euclid's gcd and Yun's
-loop over Q instead of the integer pseudo-remainder sequence) so that
-agreement is evidence, not tautology.
+p with p-adic lifting, direct enumeration instead of polynomial
+convolution, Euler's pentagonal-number recurrence instead of the one
+over the largest allowed part, a recurrence over every dimension
+instead of over half-dimensions, nested partition loops instead of
+grouping the configuration stream, Euclid's gcd and Yun's loop over Q
+instead of the integer pseudo-remainder sequence) so that agreement is
+evidence, not tautology.
 
 The algebra oracles run on plain ``Fraction`` rows and coefficient
 lists, read from ``RationalMatrix.entries`` and
@@ -363,12 +364,22 @@ def table_rows(n: int) -> list[tuple[int, int, list[tuple[tuple[int, ...], int]]
     return groups
 
 
-def naive_partition_count(n: int) -> int:
-    """p(n) by the textbook DP over largest allowed part."""
+def pentagonal_partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence
+
+        p(m) = sum_{k>=1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)]
+
+    over the generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ...,
+    k(3k-1)/2 for k = 1, -1, 2, -2, ...: the signs go + + - - + + ..."""
     table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
+    for m in range(1, n + 1):
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            table[m] += sign * table[m - g]
+            if (g := g + k) <= m:  # k(3k+1)/2
+                table[m] += sign * table[m - g]
+            k += 1
     return table[n]
 
 

@@ -10,7 +10,7 @@ from invsub.combinatorics import (
     partitions_of,
 )
 
-from _oracles import naive_partition_count
+from _oracles import pentagonal_partition_count
 
 
 @st.composite
@@ -84,13 +84,17 @@ class TestPartitionsOf:
 
 
 class TestPartitionCount:
-    @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (10, 42), (20, 627)])
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(0, 1), (1, 1), (10, 42), (20, 627), (30, 5604), (40, 37338), (60, 966467),
+         (100, 190569292)],
+    )
     def test_goldens(self, n, expected):
         assert partition_count(n) == expected
 
-    def test_matches_dp_oracle_up_to_60(self):
+    def test_matches_pentagonal_oracle_up_to_60(self):
         for n in range(61):
-            assert partition_count(n) == naive_partition_count(n)
+            assert partition_count(n) == pentagonal_partition_count(n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,21 @@ class TestRationalPolynomial:
         with pytest.raises(TypeError):
             poly(1.5)
 
+    # "123" used to be 3*x^2 + 2*x + 1, one coefficient per character,
+    # and a set gave a different polynomial under each hash seed
+    @pytest.mark.parametrize(
+        "coefficients", ["123", b"123", {"1", "2", "3"}, frozenset({1, 2})],
+        ids=["str", "bytes", "set", "frozenset"],
+    )
+    def test_rejects_strings_and_sets_as_the_coefficients(self, coefficients):
+        with pytest.raises(TypeError, match=f"coefficients .* not {type(coefficients).__name__}$"):
+            RationalPolynomial(coefficients)
+
+    def test_takes_coefficients_from_any_ordered_iterable(self):
+        expected = poly(0, 1, 2)
+        for coefficients in ([0, 1, 2], (0, 1, 2), range(3), (c for c in [0, "1", 2])):
+            assert RationalPolynomial(coefficients) == expected
+
     def test_str(self):
         assert str(poly(2, -3, 1)) == "x^2 - 3*x + 2"
         assert str(poly()) == "0"
@@ -183,6 +198,42 @@ class TestRationalMatrix:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RationalMatrix([[1.5]])
+
+    # ["12", "34"] used to be [[1, 2], [3, 4]], one entry per character,
+    # and a set of rows gave a different matrix under each hash seed
+    @pytest.mark.parametrize(
+        "rows",
+        ["12", b"12", {("1", "2"), ("3", "4")}, frozenset({(1,)})],
+        ids=["str", "bytes", "set", "frozenset"],
+    )
+    def test_rejects_strings_and_sets_as_the_rows(self, rows):
+        with pytest.raises(TypeError, match=f"^matrix rows .* not {type(rows).__name__}$"):
+            RationalMatrix(rows)
+
+    # ["1/2", "34"] used to fail on the token '/'
+    @pytest.mark.parametrize(
+        "rows, name",
+        [
+            (["1/2", "34"], "str"),
+            ([[1, 2], b"12"], "bytes"),
+            ([[1, 2], {1, 2}], "set"),
+            ([[1, 2], frozenset({1, 2})], "frozenset"),
+        ],
+        ids=["str", "bytes", "set", "frozenset"],
+    )
+    def test_rejects_strings_and_sets_as_one_row(self, rows, name):
+        with pytest.raises(TypeError, match=f"^a matrix row .* not {name}$"):
+            RationalMatrix(rows)
+
+    def test_takes_rows_from_any_ordered_iterable(self):
+        expected = RationalMatrix([[0, 1], [2, 3]])
+        for rows in (
+            [[0, 1], [2, 3]],
+            ((0, 1), (2, 3)),
+            [range(2), range(2, 4)],
+            (iter(row) for row in [["0", 1], [2, "3"]]),
+        ):
+            assert RationalMatrix(rows) == expected
 
     def test_block_diagonal(self):
         a = RationalMatrix([[1]])

@@ -99,12 +99,16 @@ LAYERS = {
     "combinatorics": {"__init__"},
     "spectrum": {"__init__", "combinatorics"},
     "exactalg": {"__init__"},
-    "analyzer": {"__init__", "combinatorics", "spectrum", "exactalg"},
+    "analyzer": {"__init__", "spectrum", "exactalg"},
     "cli": {"__init__", "spectrum"},
 }
 # module -> the package modules it imports inside a function: only cli
 # defers the matrix algebra, to the commands that run it
 DEFERRED = {"cli": {"exactalg", "analyzer"}}
+# module -> the private names it imports from a submodule rather than
+# from the root: analyzer multiplies profiles with exactalg's _mul, and
+# cli finds the first refused cell of a document with exactalg's _ratio
+SUBMODULE_PRIVATES = {"analyzer": {"_mul"}, "cli": {"_ratio"}}
 
 
 def _package_imports(nodes, modules: set[str]) -> set[str]:
@@ -123,7 +127,7 @@ def _package_imports(nodes, modules: set[str]) -> set[str]:
 def test_package_imports_follow_the_layers():
     paths = sorted(Path(invsub.__file__).parent.glob("*.py"))
     modules = {path.stem for path in paths}
-    found = {}
+    found, privates = {}, {}
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         nodes = list(ast.walk(tree))
@@ -134,7 +138,17 @@ def test_package_imports_follow_the_layers():
             _package_imports([node for node in imports if id(node) not in in_functions], modules),
             _package_imports([node for node in imports if id(node) in in_functions], modules),
         )
+        names = {
+            alias.name
+            for node in imports
+            if node.module
+            for alias in node.names
+            if _is_private(alias.name)
+        }
+        if names:
+            privates[path.stem] = names
     assert found == {module: (LAYERS[module], DEFERRED.get(module, set())) for module in LAYERS}
+    assert privates == SUBMODULE_PRIVATES
 
 
 def _private_names_in_docstrings(tree: ast.Module) -> set[str]:
@@ -581,6 +595,23 @@ def test_submodules_still_import_from_the_package():
         "sys.exit(exactalg is not sys.modules['invsub.exactalg'])"
     )
     assert status == 0 and "invsub.analyzer" not in loaded
+
+
+def test_jordan_blocks_load_only_the_matrix_algebra():
+    # exactalg lays the blocks out and checks their size with the root's
+    # check, so neither analyzer nor the M_n modules load with them
+    status, _, loaded = run_fresh(
+        "import invsub; invsub.standard_jordan_block; invsub.real_jordan_block"
+    )
+    assert status == 0
+    assert {name for name in loaded if name.startswith("invsub.")} == {"invsub.exactalg"}
+
+
+def test_analyzer_reexports_the_jordan_blocks_of_exactalg():
+    from invsub import analyzer, exactalg
+
+    assert analyzer.standard_jordan_block is exactalg.standard_jordan_block
+    assert analyzer.real_jordan_block is exactalg.real_jordan_block
 
 
 def test_values_unpickle_after_import_alone():
